@@ -25,11 +25,12 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import CapacityError, DomainError
-from .network import ActivationKind, Network, WeightMatrix, evaluate
-from .rationals import RationalLike, as_rational
+from .network import ActivationKind, Network, WeightMatrix
+from .rationals import RationalLike, as_rational, format_rational
 
 DEFAULT_SELECTOR_CAP = 10**8
 CAP_ENV_VAR = "QLOWER_CAP"
@@ -160,6 +161,19 @@ def build_threshold_matrix(grid: GridSpec) -> WeightMatrix:
     return WeightMatrix.from_rows(rows)
 
 
+def selector_fits(grid: GridSpec, cap: Optional[int] = None) -> bool:
+    """Whether the grid's (M+1)^d x (dM+1) selector is within the cap."""
+    return grid.cell_count * (grid.d * grid.M + 1) <= selector_cap(cap)
+
+
+def _selector_tail(grid: GridSpec) -> tuple[int, ...]:
+    """Columns 1..dM of every selector row: -(M+1)^(i-1) over axis i's block.
+
+    Plain ints, so that comparing parsed Fraction rows against them takes
+    Fraction's fast integer path."""
+    return tuple(-((grid.M + 1) ** i) for i in range(grid.d) for _ in range(grid.M))
+
+
 def build_selector_matrix(grid: GridSpec, cap: Optional[int] = None) -> WeightMatrix:
     """Second-layer matrix mapping the threshold code to (r - k)_r.
 
@@ -168,23 +182,21 @@ def build_selector_matrix(grid: GridSpec, cap: Optional[int] = None) -> WeightMa
     is one-hot at the input's cell index. All entries are integers of
     magnitude below (M+1)^d.
     """
-    d, M = grid.d, grid.M
     cells = grid.cell_count
-    width = d * M + 1
-    effective_cap = selector_cap(cap)
-    if cells * width > effective_cap:
+    width = grid.d * grid.M + 1
+    if not selector_fits(grid, cap):
+        effective_cap = selector_cap(cap)
         raise CapacityError(
             f"selector matrix needs {cells * width} entries, over the cap of "
             f"{effective_cap}; evaluate implicitly instead or raise {CAP_ENV_VAR}",
             required=cells * width,
             cap=effective_cap,
         )
-    axis_weights = [Fraction(-((M + 1) ** i)) for i in range(d)]
+    tail = tuple(map(Fraction, _selector_tail(grid)))
     entries: list[Fraction] = []
     for r in range(cells):
         entries.append(Fraction(r))
-        for i in range(d):
-            entries.extend([axis_weights[i]] * M)
+        entries.extend(tail)
     return WeightMatrix(cells, width, tuple(entries))
 
 
@@ -232,20 +244,32 @@ def build_readout(f, grid: GridSpec) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class ApproximatorBundle:
-    """The assembled approximator plus its error certificate.
+    """The approximator as its grid and readout, plus its error certificate.
 
-    ``selector`` and ``network`` are None when materializing the selector
-    would exceed the cap; ``evaluate_implicit`` works either way.
+    The threshold and selector layers follow from the grid alone, so the
+    network is derived on first access; it is None when the selector
+    would exceed the cap. ``evaluate_implicit`` works either way.
     """
 
     grid: GridSpec
     epsilon: float
-    thresholds: WeightMatrix
-    selector: Optional[WeightMatrix]
     readout: tuple[Fraction, ...]
-    network: Optional[Network]
     holder: Optional[HolderFunctionSpec]
     note: str
+
+    @cached_property
+    def network(self) -> Optional[Network]:
+        if not selector_fits(self.grid):
+            return None
+        return Network(
+            self.grid.d,
+            (
+                build_threshold_matrix(self.grid),
+                build_selector_matrix(self.grid),
+                WeightMatrix(1, len(self.readout), self.readout),
+            ),
+            ActivationKind.INDICATOR01,
+        )
 
     @property
     def certified(self) -> bool:
@@ -271,45 +295,20 @@ class ApproximatorBundle:
             "bound": self.error_bound,
             "certified": self.certified,
             "note": self.note,
-            "materialized": self.network is not None,
+            "materialized": selector_fits(self.grid),
         }
 
 
-def readout_matrix(readout: tuple[Fraction, ...]) -> WeightMatrix:
-    return WeightMatrix(1, len(readout), tuple(readout))
-
-
-def _assemble(grid, epsilon, f_spec, evaluator, note, cap) -> ApproximatorBundle:
-    thresholds = build_threshold_matrix(grid)
-    readout = build_readout(evaluator, grid)
-    try:
-        selector = build_selector_matrix(grid, cap)
-        network = Network(
-            grid.d,
-            (thresholds, selector, readout_matrix(readout)),
-            ActivationKind.INDICATOR01,
-        )
-    except CapacityError:
-        selector = None
-        network = None
-        note = note + "; selector left implicit (over the materialization cap)"
-    return ApproximatorBundle(
-        grid=grid,
-        epsilon=float(epsilon),
-        thresholds=thresholds,
-        selector=selector,
-        readout=readout,
-        network=network,
-        holder=f_spec,
-        note=note,
-    )
+def _bundle(grid, epsilon, holder, evaluator, note) -> ApproximatorBundle:
+    if not selector_fits(grid):
+        note += "; selector left implicit (over the materialization cap)"
+    return ApproximatorBundle(grid, float(epsilon), build_readout(evaluator, grid), holder, note)
 
 
 def build_approximator(
     f: HolderFunctionSpec,
     epsilon: RationalLike,
     M_override: Optional[int] = None,
-    cap: Optional[int] = None,
 ) -> ApproximatorBundle:
     """Build the approximator for a Hoelder target at accuracy epsilon.
 
@@ -322,15 +321,9 @@ def build_approximator(
     if eps <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if M_override is None:
-        M = choose_resolution(f.K, f.beta, eps)
-        note = NOTE_CERTIFIED
-    else:
-        if M_override < 1:
-            raise DomainError(f"resolution override must be >= 1, got {M_override}")
-        M = M_override
-        note = NOTE_USER_M
-    grid = GridSpec(f.d, M)
-    return _assemble(grid, eps, f, f.evaluator, note, cap)
+        grid = GridSpec(f.d, choose_resolution(f.K, f.beta, eps))
+        return _bundle(grid, eps, f, f.evaluator, NOTE_CERTIFIED)
+    return _bundle(GridSpec(f.d, M_override), eps, f, f.evaluator, NOTE_USER_M)
 
 
 def evaluate_implicit(bundle: ApproximatorBundle, x: Sequence[RationalLike], mode: str = "exact"):
@@ -373,7 +366,6 @@ def approximate_continuous(
     seed: int = 0,
     pairs: int = 200,
     max_resolution: int = 4096,
-    cap: Optional[int] = None,
 ) -> ApproximatorBundle:
     """Approximate a continuous target without certified Hoelder data.
 
@@ -389,26 +381,37 @@ def approximate_continuous(
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     if M_override is not None:
-        if M_override < 1:
-            raise DomainError(f"resolution override must be >= 1, got {M_override}")
-        grid = GridSpec(d, M_override)
-        return _assemble(grid, eps, None, evaluator, NOTE_USER_M, cap)
+        return _bundle(GridSpec(d, M_override), eps, None, evaluator, NOTE_USER_M)
     eps_f = float(eps)
     for M in range(1, max_resolution + 1):
         rng = random.Random(f"modulus:{seed}:{M}")
         if _sampled_modulus(evaluator, d, 1.0 / (M + 1), rng, pairs) <= eps_f:
-            return _assemble(GridSpec(d, M), eps, None, evaluator, NOTE_HEURISTIC, cap)
+            return _bundle(GridSpec(d, M), eps, None, evaluator, NOTE_HEURISTIC)
     raise DomainError(
         f"no resolution up to {max_resolution} reached the sampled target accuracy; "
         "pass an explicit resolution"
     )
 
 
+def _require_rows(name: str, mat: WeightMatrix, expected: Callable) -> None:
+    """Raise DomainError at the first entry of mat that differs from expected(r)."""
+    for r in range(mat.rows):
+        got, want = mat.row(r), expected(r)
+        if got != want:
+            c = next(c for c in range(mat.cols) if got[c] != want[c])
+            raise DomainError(
+                f"{name} entry ({r}, {c}) is {format_rational(got[c])}, expected "
+                f"{format_rational(want[c])}: not the canonical approximator construction"
+            )
+
+
 def bundle_from_network(net: Network) -> ApproximatorBundle:
     """Rebuild a bundle (grid and readout) from a materialized network.
 
-    The network must have the depth-2 indicator shape produced by
-    build_approximator; the grid is inferred from the matrix sizes.
+    The network must be the depth-2 indicator construction of
+    build_approximator: the grid is inferred from the matrix sizes, and
+    every threshold and selector entry is checked against its formula,
+    so the readout alone determines what the network computes.
     """
     if net.activation is not ActivationKind.INDICATOR01 or len(net.matrices) != 3:
         raise DomainError("not a depth-2 indicator approximator network")
@@ -416,18 +419,13 @@ def bundle_from_network(net: Network) -> ApproximatorBundle:
     d = net.input_dim
     if (w.rows - 1) % d != 0:
         raise DomainError("threshold matrix rows do not match any grid resolution")
-    M = (w.rows - 1) // d
-    grid = GridSpec(d, M)
-    if v.rows != grid.cell_count or u.rows != 1 or u.cols != grid.cell_count:
+    grid = GridSpec(d, (w.rows - 1) // d)
+    if v.rows != grid.cell_count or u.rows != 1:
         raise DomainError("selector/readout shapes do not match the inferred grid")
+    _require_rows("threshold", w, build_threshold_matrix(grid).row)
+    tail = _selector_tail(grid)
+    _require_rows("selector", v, lambda r: (r,) + tail)
     readout = tuple(e * net.output_scale for e in u.entries)
-    return ApproximatorBundle(
-        grid=grid,
-        epsilon=float("nan"),
-        thresholds=w,
-        selector=v,
-        readout=readout,
-        network=net,
-        holder=None,
-        note=NOTE_RECONSTRUCTED,
-    )
+    bundle = ApproximatorBundle(grid, float("nan"), readout, None, NOTE_RECONSTRUCTED)
+    vars(bundle)["network"] = net  # already materialized: seed the cached property
+    return bundle

@@ -337,19 +337,10 @@ def random_network(
 
 def bundle_stats(bundle: ApproximatorBundle) -> dict:
     """Depth, width vector, and nonzero count of the assembled network,
-    computed from the grid alone when the selector is implicit."""
-    grid = bundle.grid
-    d, M = grid.d, grid.M
-    cells = grid.cell_count
-    if bundle.selector is not None:
-        selector_nnz = bundle.selector.nonzero_count()
-    else:
-        selector_nnz = (cells - 1) + cells * d * M
-    nnz = (
-        bundle.thresholds.nonzero_count()
-        + selector_nnz
-        + sum(1 for v in bundle.readout if v)
-    )
+    computed from the grid and readout without materializing anything."""
+    d, M = bundle.grid.d, bundle.grid.M
+    cells = bundle.grid.cell_count
+    nnz = 2 * d * M + (cells - 1) + cells * d * M + sum(1 for v in bundle.readout if v)
     return {
         "depth": 2,
         "widths": (d + 1, d * M + 1, cells, 1),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DimensionError, DomainError, ParseError
 from .rationals import RationalLike, as_rational, format_rational, lcm_denominators
@@ -38,8 +38,6 @@ class ActivationKind(str, Enum):
     """Coordinate-wise activation applied after every non-final matrix."""
 
     RELU = "relu"                  # max(0, z)
-    RELU_HALF = "relu_half"        # max(0, z) / 2
-    RELU_QUARTER = "relu_quarter"  # max(0, z) / 4
     INDICATOR01 = "indicator01"    # 1 if 0 <= z < 1 else 0
 
 
@@ -106,10 +104,6 @@ class WeightMatrix:
 
     def row(self, r: int) -> tuple[Fraction, ...]:
         return self.entries[r * self.cols:(r + 1) * self.cols]
-
-    def iter_rows(self) -> Iterable[tuple[Fraction, ...]]:
-        for r in range(self.rows):
-            yield self.row(r)
 
     def scaled_by(self, factor: RationalLike) -> "WeightMatrix":
         f = as_rational(factor)
@@ -250,10 +244,6 @@ def _forward_exact(net: Network, xs: list[Fraction], want_trace: bool):
                 den = 1
             else:
                 nums = [n if n > 0 else 0 for n in nums]
-                if kind is ActivationKind.RELU_HALF:
-                    den *= 2
-                elif kind is ActivationKind.RELU_QUARTER:
-                    den *= 4
             if want_trace:
                 trace.append([Fraction(n, den) for n in nums])
     sn, sd = net.output_scale.numerator, net.output_scale.denominator
@@ -271,12 +261,8 @@ def _forward_float(net: Network, xs: list[float], want_trace: bool):
         if i < last:
             if kind is ActivationKind.INDICATOR01:
                 vals = [1.0 if 0.0 <= v < 1.0 else 0.0 for v in vals]
-            elif kind is ActivationKind.RELU:
-                vals = [v if v > 0.0 else 0.0 for v in vals]
-            elif kind is ActivationKind.RELU_HALF:
-                vals = [v / 2.0 if v > 0.0 else 0.0 for v in vals]
             else:
-                vals = [v / 4.0 if v > 0.0 else 0.0 for v in vals]
+                vals = [v if v > 0.0 else 0.0 for v in vals]
             if want_trace:
                 trace.append(list(vals))
     scale = float(net.output_scale)

@@ -21,20 +21,17 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce to an exact Fraction.
 
     Strings accept "p", "p/q", and decimal literals ("0.3" means 3/10
-    exactly). Floats convert to their exact binary value.
+    exactly). Floats convert to their exact binary value; nan and
+    infinities are rejected.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ParseError(f"not a rational value: {value!r}")
-    if isinstance(value, (int, float)):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational value: {value!r}") from exc
-    raise ParseError(f"not a rational value: {value!r}")
+    try:
+        return Fraction(value)  # strings may carry surrounding whitespace
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:  # nan, inf, "1/0"
+        raise ParseError(f"not a rational value: {value!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:

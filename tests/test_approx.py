@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlower.approx
 from qlower import (
+    ApproximatorBundle,
     CapacityError,
     DomainError,
     GridSpec,
@@ -25,6 +28,8 @@ from qlower import (
     serialize,
 )
 from qlower.approx import NOTE_CERTIFIED, NOTE_HEURISTIC, NOTE_USER_M, selector_cap
+
+from conftest import forbid_selector_builds
 
 F = Fraction
 
@@ -115,7 +120,7 @@ class TestCellIndex:
 class TestBuilders:
     def test_threshold_matrix_rows(self):
         w = build_threshold_matrix(GridSpec(1, 2))
-        assert list(w.iter_rows()) == [
+        assert [w.row(r) for r in range(w.rows)] == [
             (F(0), F(0)), (F(-1, 3), F(1)), (F(-2, 3), F(1))]
 
     def test_indicator_code_endpoints(self):
@@ -127,7 +132,7 @@ class TestBuilders:
 
     def test_selector_matrix_rows(self):
         v = build_selector_matrix(GridSpec(1, 2))
-        assert list(v.iter_rows()) == [
+        assert [v.row(r) for r in range(v.rows)] == [
             (F(0), F(-1), F(-1)), (F(1), F(-1), F(-1)), (F(2), F(-1), F(-1))]
 
     def test_selector_entry_magnitudes_below_cell_count(self):
@@ -257,9 +262,11 @@ class TestCapacityCap:
         assert err.value.required == 100 * 19
         assert err.value.cap == 100
 
-    def test_over_cap_bundle_is_implicit_only(self):
-        bundle = build_approximator(linear_spec(2), F(1, 9), cap=500)
-        assert bundle.network is None and bundle.selector is None
+    def test_over_cap_bundle_is_implicit_only(self, monkeypatch):
+        monkeypatch.setenv("QLOWER_CAP", "500")
+        bundle = build_approximator(linear_spec(2), F(1, 9))
+        assert bundle.network is None
+        assert bundle.certificate_dict()["materialized"] is False
         assert "implicit" in bundle.note
         assert bundle.certified  # the bound does not need materialization
         assert evaluate_implicit(bundle, [F(1, 2), F(1, 2)]) == F(1, 2)
@@ -294,12 +301,53 @@ class TestBundleFromNetwork:
         bundle = build_approximator(linear_spec(), F(1, 5))
         net = bundle.network
         scaled = type(net)(net.input_dim, net.matrices, net.activation, F(1, 2))
-        again = bundle_from_network(scaled)
+        again = bundle_from_network(deserialize(serialize(scaled)))
         assert again.readout == tuple(v / 2 for v in bundle.readout)
 
     def test_rejects_non_approximator_shapes(self, example_net):
         with pytest.raises(DomainError):
             bundle_from_network(example_net)
+
+    def test_rejects_tampered_network(self, tampered_net):
+        with pytest.raises(DomainError) as err:
+            bundle_from_network(tampered_net)
+        assert "not the canonical approximator construction" in str(err.value)
+
+    def test_tampered_network_computes_another_function(self, tampered_net):
+        # Why the readout alone cannot be trusted: the tampered net keeps
+        # the readout but disagrees with the approximator somewhere.
+        net = build_approximator(linear_spec(), F(1, 4)).network
+        assert tampered_net.matrices[2] == net.matrices[2]
+        assert any(evaluate(tampered_net, [F(i, 20)]) != evaluate(net, [F(i, 20)])
+                   for i in range(21))
+
+    def test_check_builds_no_selector(self, monkeypatch, tampered_net):
+        net = build_approximator(linear_spec(2), F(1, 3)).network
+        monkeypatch.setenv("QLOWER_CAP", "10")
+        forbid_selector_builds(monkeypatch)
+        assert bundle_from_network(net).readout == net.matrices[2].entries
+        with pytest.raises(DomainError):
+            bundle_from_network(tampered_net)
+
+
+class TestDerivedNetwork:
+    def test_bundle_fields(self):
+        assert [f.name for f in dataclasses.fields(ApproximatorBundle)] == [
+            "grid", "epsilon", "readout", "holder", "note"]
+
+    def test_network_built_once(self, monkeypatch):
+        built = []
+
+        def counting(grid, cap=None):
+            built.append(grid)
+            return build_selector_matrix(grid, cap)
+
+        monkeypatch.setattr(qlower.approx, "build_selector_matrix", counting)
+        bundle = build_approximator(linear_spec(2), F(1, 3))
+        assert built == []
+        net = bundle.network
+        assert bundle.network is net and built == [bundle.grid]
+        assert net.matrices[2].entries == bundle.readout
 
 
 class TestApproximateContinuous:

@@ -186,6 +186,15 @@ class TestEval:
                            "--implicit")
         assert code == 1 and json.loads(err)["error"] == "DomainError"
 
+    def test_implicit_rejects_tampered_approximator(self, capsys, tmp_path,
+                                                    tampered_net):
+        path = tmp_path / "tampered.json"
+        save_network(tampered_net, path)
+        code, out, err = run(capsys, "eval", "--net", path, "--x", "0",
+                             "--implicit")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
     def test_exact_and_float_flags_conflict(self, capsys, source_net):
         _, src = source_net
         code, _, _ = run(capsys, "eval", "--net", src, "--x", "1/2,1/2",

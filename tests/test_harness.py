@@ -16,6 +16,7 @@ from qlower import (
     equivalence_check,
     random_network,
     report_rows,
+    sparsity,
     sup_error,
     ternarize,
     binarize,
@@ -24,6 +25,8 @@ from qlower import (
 )
 from qlower.approx import GridSpec
 from qlower.harness import CSV_COLUMNS, bundle_stats
+
+from conftest import forbid_selector_builds
 
 F = Fraction
 
@@ -106,6 +109,11 @@ class TestSupError:
         with pytest.raises(DomainError):
             sup_error(bundle, spec, n_per_axis=1)
 
+    def test_tampered_network_rejected(self, tampered_net):
+        spec = builtin_targets(1)["mean"]
+        with pytest.raises(DomainError):
+            sup_error(tampered_net, spec, bound=F(1, 4))
+
 
 class TestEquivalenceCheck:
     def test_network_equals_itself(self):
@@ -185,10 +193,16 @@ class TestBundleStatsAndReport:
         d, M = 2, bundle.grid.M
         assert stats["depth"] == 2
         assert stats["widths"] == (d + 1, d * M + 1, (M + 1) ** d, 1)
-        nnz = (bundle.thresholds.nonzero_count()
-               + bundle.selector.nonzero_count()
-               + sum(1 for v in bundle.readout if v))
-        assert stats["sparsity"] == nnz
+        assert stats["sparsity"] == sparsity(bundle.network).total_nonzero
+
+    def test_nothing_builds_a_selector(self, monkeypatch):
+        forbid_selector_builds(monkeypatch)
+        spec = builtin_targets(2)["mean"]
+        bundle = build_approximator(spec, F(1, 3))
+        assert bundle.certificate_dict()["materialized"] is True
+        assert sup_error(bundle, spec, n_per_axis=11, bound=bundle.error_bound).passed
+        assert bundle_stats(bundle)["sparsity"] > 0
+        assert report_rows([1], ["1/4"], ["mean"], n_per_axis=11)[0]["pass"]
 
     def test_implicit_selector_count_matches_formula(self):
         grid = GridSpec(2, 3)

@@ -80,9 +80,6 @@ class TestActivations:
     @pytest.mark.parametrize("kind, pre, expected", [
         (ActivationKind.RELU, "-3/2", 0),
         (ActivationKind.RELU, "3/2", Fraction(3, 2)),
-        (ActivationKind.RELU_HALF, "3/2", Fraction(3, 4)),
-        (ActivationKind.RELU_HALF, "-1", 0),
-        (ActivationKind.RELU_QUARTER, "2", Fraction(1, 2)),
         (ActivationKind.INDICATOR01, "0", 1),
         (ActivationKind.INDICATOR01, "99/100", 1),
         (ActivationKind.INDICATOR01, "1", 0),
@@ -180,6 +177,7 @@ class TestSerialization:
         (lambda p: p["matrices"][0]["entries"].__setitem__(0, "x/y"), ParseError),
         (lambda p: p["matrices"][0]["entries"].append("0"), DimensionError),
         (lambda p: p["matrices"][0].update(cols=3), DimensionError),
+        (lambda p: p.update(activation="relu_half"), ParseError),
     ])
     def test_malformed_payloads_rejected(self, example_net, mutate, exc):
         payload = json.loads(serialize(example_net))

@@ -27,7 +27,8 @@ class TestAsRational:
         assert as_rational(0.1) == Fraction(3602879701896397, 36028797018963968)
         assert as_rational(0.1) != Fraction(1, 10)
 
-    @pytest.mark.parametrize("bad", ["", "abc", "1/0", "1//2", None, [1], True, False])
+    @pytest.mark.parametrize("bad", ["", "abc", "1/0", "1//2", None, [1], True, False,
+                                     float("nan"), float("inf"), float("-inf")])
     def test_rejections(self, bad):
         with pytest.raises(ParseError):
             as_rational(bad)
