@@ -44,10 +44,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def selector_cap(cap: Optional[int] = None) -> int:
+def selector_cap() -> int:
     """Effective materialization cap; QLOWER_CAP overrides the default."""
-    if cap is not None:
-        return cap
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_SELECTOR_CAP
@@ -108,8 +106,11 @@ class GridSpec:
 
 
 def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike) -> int:
-    """Smallest admissible grid resolution, M = max(1, ceil((K/eps)^(1/beta))).
+    """Certifying grid resolution, M = max(1, ceil((K/eps)^(1/beta))).
 
+    Not always the smallest: K/(M+1)^beta <= eps holds exactly when
+    M+1 >= this value, so M one smaller certifies too whenever that is
+    still >= 1 (K=1, beta=1, eps=1/10 gives M=10, yet M=9 certifies).
     Computed exactly when 1/beta is an integer (the common beta = 1 and
     beta = 1/2 cases); otherwise in 64-bit arithmetic.
     """
@@ -161,9 +162,9 @@ def build_threshold_matrix(grid: GridSpec) -> WeightMatrix:
     return WeightMatrix.from_rows(rows)
 
 
-def selector_fits(grid: GridSpec, cap: Optional[int] = None) -> bool:
+def selector_fits(grid: GridSpec) -> bool:
     """Whether the grid's (M+1)^d x (dM+1) selector is within the cap."""
-    return grid.cell_count * (grid.d * grid.M + 1) <= selector_cap(cap)
+    return grid.cell_count * (grid.d * grid.M + 1) <= selector_cap()
 
 
 def _selector_tail(grid: GridSpec) -> tuple[int, ...]:
@@ -174,7 +175,7 @@ def _selector_tail(grid: GridSpec) -> tuple[int, ...]:
     return tuple(-((grid.M + 1) ** i) for i in range(grid.d) for _ in range(grid.M))
 
 
-def build_selector_matrix(grid: GridSpec, cap: Optional[int] = None) -> WeightMatrix:
+def build_selector_matrix(grid: GridSpec) -> WeightMatrix:
     """Second-layer matrix mapping the threshold code to (r - k)_r.
 
     Row r carries r in the constant column and -(M+1)^(i-1) in every
@@ -184,13 +185,13 @@ def build_selector_matrix(grid: GridSpec, cap: Optional[int] = None) -> WeightMa
     """
     cells = grid.cell_count
     width = grid.d * grid.M + 1
-    if not selector_fits(grid, cap):
-        effective_cap = selector_cap(cap)
+    if not selector_fits(grid):
+        cap = selector_cap()
         raise CapacityError(
             f"selector matrix needs {cells * width} entries, over the cap of "
-            f"{effective_cap}; evaluate implicitly instead or raise {CAP_ENV_VAR}",
+            f"{cap}; evaluate implicitly instead or raise {CAP_ENV_VAR}",
             required=cells * width,
-            cap=effective_cap,
+            cap=cap,
         )
     tail = tuple(map(Fraction, _selector_tail(grid)))
     entries: list[Fraction] = []
@@ -205,22 +206,25 @@ class HolderFunctionSpec:
     """A target on [0,1]^d with claimed Hoelder data |f(x)-f(y)| <= K|x-y|^beta.
 
     The claim is trusted here; the harness spot-verifies it by sampling.
-    ``note`` records where the constants come from.
+    ``beta``, ``K`` and ``F`` accept any RationalLike and are stored as
+    exact Fractions. ``note`` records where the constants come from.
     """
 
     evaluator: Callable
     d: int
-    beta: float
-    K: float
-    F: float
+    beta: Fraction
+    K: Fraction
+    F: Fraction
     note: str = ""
 
     def __post_init__(self):
+        for name in ("beta", "K", "F"):
+            object.__setattr__(self, name, as_rational(getattr(self, name)))
         if self.d < 1:
             raise DomainError(f"dimension must be >= 1, got {self.d}")
-        if not 0 < float(self.beta) <= 1:
+        if not 0 < self.beta <= 1:
             raise DomainError(f"beta must lie in (0, 1], got {self.beta}")
-        if float(self.K) <= 0 or float(self.F) <= 0:
+        if self.K <= 0 or self.F <= 0:
             raise DomainError("K and F must be positive")
 
 
@@ -249,10 +253,11 @@ class ApproximatorBundle:
     The threshold and selector layers follow from the grid alone, so the
     network is derived on first access; it is None when the selector
     would exceed the cap. ``evaluate_implicit`` works either way.
+    ``epsilon`` is None for a bundle read back from a network.
     """
 
     grid: GridSpec
-    epsilon: float
+    epsilon: Optional[Fraction]
     readout: tuple[Fraction, ...]
     holder: Optional[HolderFunctionSpec]
     note: str
@@ -273,8 +278,11 @@ class ApproximatorBundle:
 
     @property
     def certified(self) -> bool:
-        bound = self.error_bound
-        return bound is not None and bound <= float(self.epsilon)
+        """K/(M+1)^beta <= epsilon, i.e. the integer M+1 >= (K/eps)^(1/beta):
+        exact whenever choose_resolution is."""
+        h = self.holder
+        return (h is not None and self.epsilon is not None
+                and self.grid.M + 1 >= choose_resolution(h.K, h.beta, self.epsilon))
 
     @property
     def error_bound(self) -> Optional[float]:
@@ -291,7 +299,7 @@ class ApproximatorBundle:
             "beta": None if h is None else float(h.beta),
             "K": None if h is None else float(h.K),
             "F": None if h is None else float(h.F),
-            "epsilon": float(self.epsilon),
+            "epsilon": None if self.epsilon is None else float(self.epsilon),
             "bound": self.error_bound,
             "certified": self.certified,
             "note": self.note,
@@ -300,9 +308,17 @@ class ApproximatorBundle:
 
 
 def _bundle(grid, epsilon, holder, evaluator, note) -> ApproximatorBundle:
+    cap = selector_cap()
+    if grid.cell_count > cap:
+        raise CapacityError(
+            f"readout needs {grid.cell_count} cells, over the cap of {cap}; "
+            f"choose a coarser accuracy or raise {CAP_ENV_VAR}",
+            required=grid.cell_count,
+            cap=cap,
+        )
     if not selector_fits(grid):
         note += "; selector left implicit (over the materialization cap)"
-    return ApproximatorBundle(grid, float(epsilon), build_readout(evaluator, grid), holder, note)
+    return ApproximatorBundle(grid, epsilon, build_readout(evaluator, grid), holder, note)
 
 
 def build_approximator(
@@ -426,6 +442,6 @@ def bundle_from_network(net: Network) -> ApproximatorBundle:
     tail = _selector_tail(grid)
     _require_rows("selector", v, lambda r: (r,) + tail)
     readout = tuple(e * net.output_scale for e in u.entries)
-    bundle = ApproximatorBundle(grid, float("nan"), readout, None, NOTE_RECONSTRUCTED)
+    bundle = ApproximatorBundle(grid, None, readout, None, NOTE_RECONSTRUCTED)
     vars(bundle)["network"] = net  # already materialized: seed the cached property
     return bundle

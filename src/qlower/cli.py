@@ -22,7 +22,7 @@ from .approx import (
 from .errors import DomainError, QlowerError
 from .harness import (
     CSV_COLUMNS,
-    builtin_targets,
+    builtin_target,
     check_holder,
     equivalence_check,
     report_rows,
@@ -81,8 +81,11 @@ def _emit(args, payload: dict, pretty_lines: Sequence[str]) -> None:
 
 
 def _emit_error(exc: BaseException) -> None:
-    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-          file=sys.stderr)
+    payload = {"error": type(exc).__name__, "message": str(exc)}
+    for field in ("required", "cap", "layer", "location"):
+        if getattr(exc, field, None) is not None:
+            payload[field] = getattr(exc, field)
+    print(json.dumps(payload), file=sys.stderr)
 
 
 def _default_cert_path(out_path: str) -> str:
@@ -100,18 +103,14 @@ def _mode(args) -> str:
 
 
 def cmd_approx(args) -> int:
-    targets = builtin_targets(args.d)
-    if args.target not in targets:
-        raise DomainError(
-            f"unknown target {args.target!r}; available: {', '.join(sorted(targets))}")
-    spec = targets[args.target]
+    spec = builtin_target(args.target, args.d)
     if args.beta is not None or args.K is not None or args.F is not None:
         spec = HolderFunctionSpec(
             spec.evaluator,
             args.d,
-            float(args.beta) if args.beta is not None else spec.beta,
-            float(args.K) if args.K is not None else spec.K,
-            float(args.F) if args.F is not None else spec.F,
+            args.beta if args.beta is not None else spec.beta,
+            args.K if args.K is not None else spec.K,
+            args.F if args.F is not None else spec.F,
         )
         check_holder(spec, name=args.target)
     bundle = build_approximator(spec, args.eps, M_override=args.M)
@@ -135,7 +134,7 @@ def cmd_approx(args) -> int:
     }
     _emit(args, payload, [
         f"target {args.target} on [0,1]^{args.d} "
-        f"(beta={spec.beta}, K={spec.K})",
+        f"(beta={float(spec.beta)}, K={float(spec.K)})",
         f"M={bundle.grid.M}: {bundle.grid.cell_count} cells, "
         f"bound {bundle.error_bound} vs eps {float(args.eps)}"
         f" -> {'certified' if bundle.certified else 'NOT certified'}",

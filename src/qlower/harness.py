@@ -73,17 +73,15 @@ def check_holder(
     cannot prove the claim, only catch wrong constants.
     """
     rng = random.Random(f"holder:{name}:{spec.d}:{seed}:{pairs}")
-    beta = as_rational(spec.beta)
-    K = as_rational(spec.K)
-    exact = beta == 1
-    K_f, beta_f = float(K), float(beta)
+    exact = spec.beta == 1
+    K_f, beta_f = float(spec.K), float(spec.beta)
     for _ in range(pairs):
         x = [Fraction(rng.randrange(257), 256) for _ in range(spec.d)]
         y = [Fraction(rng.randrange(257), 256) for _ in range(spec.d)]
         dist = max(abs(a - b) for a, b in zip(x, y))
         fx, fy = spec.evaluator(x), spec.evaluator(y)
         if exact and isinstance(fx, (int, Fraction)) and isinstance(fy, (int, Fraction)):
-            if abs(as_rational(fx) - as_rational(fy)) > K * dist:
+            if abs(as_rational(fx) - as_rational(fy)) > spec.K * dist:
                 raise DomainError(
                     f"target {name!r} violates its claimed constants at "
                     f"x={[format_rational(v) for v in x]}, "
@@ -98,34 +96,44 @@ def check_holder(
                 )
 
 
-_target_cache: dict[int, dict[str, HolderFunctionSpec]] = {}
+_EXACTLY = "constants exact by inspection, spot-checked on seeded pairs"
+_SAMPLED = "constants spot-checked on seeded pairs (binary64)"
+
+# name -> (evaluator, beta, K, F, note)
+_BUILTIN = {
+    "const": (_const_half, 1, 1, Fraction(1, 2), _EXACTLY),
+    "mean": (_mean, 1, 1, 1, _EXACTLY),
+    "maxcoord": (_maxcoord, 1, 1, 1, _EXACTLY),
+    "root": (_root, Fraction(1, 2), 1, 1, _SAMPLED),
+}
+
+_target_cache: dict[tuple[str, int], HolderFunctionSpec] = {}
 
 
-def builtin_targets(d: int) -> dict[str, HolderFunctionSpec]:
-    """Named targets on [0,1]^d with verified constants (sup metric).
+def builtin_target(name: str, d: int) -> HolderFunctionSpec:
+    """Named target on [0,1]^d with verified constants (sup metric).
 
     const     x -> 1/2
     mean      x -> (x_1 + ... + x_d) / d          (beta=1, K=1)
     maxcoord  x -> max_i x_i                      (beta=1, K=1)
     root      x -> sqrt(max_i x_i)                (beta=1/2, K=1)
 
-    Each claim is spot-checked on first use per dimension, then cached.
+    The claim is spot-checked on first use per (name, d), then cached.
     """
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    if d not in _target_cache:
-        exactly = "constants exact by inspection, spot-checked on seeded pairs"
-        sampled = "constants spot-checked on seeded pairs (binary64)"
-        specs = {
-            "const": HolderFunctionSpec(_const_half, d, 1.0, 1.0, 0.5, exactly),
-            "mean": HolderFunctionSpec(_mean, d, 1.0, 1.0, 1.0, exactly),
-            "maxcoord": HolderFunctionSpec(_maxcoord, d, 1.0, 1.0, 1.0, exactly),
-            "root": HolderFunctionSpec(_root, d, 0.5, 1.0, 1.0, sampled),
-        }
-        for name, spec in specs.items():
-            check_holder(spec, name=name)
-        _target_cache[d] = specs
-    return dict(_target_cache[d])
+    if (name, d) not in _target_cache:
+        if name not in _BUILTIN:
+            raise DomainError(
+                f"unknown target {name!r}; available: {', '.join(sorted(_BUILTIN))}")
+        evaluator, *constants = _BUILTIN[name]
+        spec = HolderFunctionSpec(evaluator, d, *constants)
+        check_holder(spec, name=name)
+        _target_cache[name, d] = spec
+    return _target_cache[name, d]
+
+
+def builtin_targets(d: int) -> dict[str, HolderFunctionSpec]:
+    """All built-in targets on [0,1]^d, each as from ``builtin_target``."""
+    return {name: builtin_target(name, d) for name in _BUILTIN}
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +365,10 @@ def report_rows(
     """One row per (target, dimension, epsilon): build the approximator,
     measure its sup error, and record size and certificate columns."""
     rows = []
+    names = list(target_names) if target_names else sorted(_BUILTIN)
     for d in dims:
-        targets = builtin_targets(d)
-        names = list(target_names) if target_names else sorted(targets)
         for name in names:
-            if name not in targets:
-                raise DomainError(
-                    f"unknown target {name!r}; available: {sorted(targets)}")
-            spec = targets[name]
+            spec = builtin_target(name, d)
             for eps in epsilons:
                 bundle = build_approximator(spec, eps)
                 report = sup_error(

@@ -366,15 +366,15 @@ def _expect(payload: dict, key: str, types, location: str):
 
 
 def _parse_entry(raw, location: str) -> Fraction:
+    if isinstance(raw, str):  # the common case first: entries are written as strings
+        try:
+            return as_rational(raw)
+        except ParseError as exc:
+            raise ParseError(str(exc), location=location) from exc
     if isinstance(raw, bool) or isinstance(raw, float):
         raise ParseError(f"entry must be a rational string or integer, got {raw!r}", location=location)
     if isinstance(raw, int):
         return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {raw!r}", location=location) from exc
     raise ParseError(f"entry must be a rational string or integer, got {raw!r}", location=location)
 
 

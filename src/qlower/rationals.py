@@ -9,6 +9,8 @@ text representation: ``"p"`` for integers, ``"p/q"`` otherwise.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -16,17 +18,38 @@ from .errors import ParseError
 
 RationalLike = Union[int, str, float, Fraction]
 
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
+
+
+def _exponent_too_large(text: str) -> bool:
+    """Whether a decimal exponent exceeds the int(str) digit limit.
+
+    Fraction("1e<n>") builds 10**n, so its cost grows with n; the limit
+    CPython puts on int(str) (sys.get_int_max_str_digits, 0 for none)
+    bounds it the same way.
+    """
+    match = _DECIMAL_EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if match is None or not limit:
+        return False
+    digits = match.group(1).replace("_", "").lstrip("0")
+    return len(digits) > len(str(limit)) or int(digits or "0") > limit
+
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce to an exact Fraction.
 
     Strings accept "p", "p/q", and decimal literals ("0.3" means 3/10
     exactly). Floats convert to their exact binary value; nan and
-    infinities are rejected.
+    infinities are rejected, and so are decimal exponents above
+    sys.get_int_max_str_digits() in magnitude.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    if isinstance(value, str):
+        if ("e" in value or "E" in value) and _exponent_too_large(value):
+            raise ParseError(f"decimal exponent too large: {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"not a rational value: {value!r}")
     try:
         return Fraction(value)  # strings may carry surrounding whitespace

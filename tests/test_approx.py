@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from qlower import (
     build_readout,
     build_selector_matrix,
     build_threshold_matrix,
+    builtin_target,
     bundle_from_network,
     cell_index,
     choose_resolution,
@@ -32,6 +35,7 @@ from qlower.approx import NOTE_CERTIFIED, NOTE_HEURISTIC, NOTE_USER_M, selector_
 from conftest import forbid_selector_builds
 
 F = Fraction
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def linear_spec(d=1):
@@ -208,6 +212,33 @@ class TestBuildApproximator:
         with pytest.raises(DomainError):
             build_approximator(linear_spec(), 0)
 
+    def test_spec_and_epsilon_stay_exact(self):
+        spec = HolderFunctionSpec(lambda x: F(0), 1, 0.5, "7/3", 1)
+        assert (spec.beta, spec.K, spec.F) == (F(1, 2), F(7, 3), F(1))
+        assert all(type(v) is Fraction for v in (spec.beta, spec.K, spec.F))
+        assert build_approximator(spec, "1/3", M_override=48).epsilon == F(1, 3)
+
+    def test_bound_equal_to_epsilon_is_certified(self):
+        # K/(M+1)^beta = (7/3)/49^(1/2) = 1/3 exactly; binary64 reads 0.33333333333333337
+        root = dataclasses.replace(builtin_target("root", 2), K=F(7, 3))
+        assert build_approximator(root, F(1, 3)).grid.M == 49
+        assert build_approximator(root, F(1, 3), M_override=48).certified
+        assert not build_approximator(root, F(1, 3), M_override=47).certified
+
+
+def test_certified_matches_bench_reference(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    reference = importlib.import_module("reference")
+    epsilons = [F(1, 7), F(1, 5), F(1, 3), F(1, 2), F(2, 3), F(1)]
+    for beta in (F(1), F(1, 2), F(1, 3)):
+        for K in (F(1, 3), F(1, 2), F(1), F(7, 3), F(5, 2), F(3)):
+            spec = HolderFunctionSpec(lambda x: F(0), 1, beta, K, 1)
+            for eps in epsilons:
+                for M in range(1, 60):
+                    bundle = ApproximatorBundle(GridSpec(1, M), eps, (), spec, "")
+                    assert bundle.certified == reference.certifies(K, beta, eps, M), \
+                        (K, beta, eps, M)
+
 
 class TestOneHot:
     def test_selector_activation_is_one_hot_at_cell_index(self):
@@ -256,11 +287,19 @@ class TestEvaluateImplicit:
 
 
 class TestCapacityCap:
-    def test_cap_raises_with_details(self):
+    def test_cap_raises_with_details(self, monkeypatch):
+        monkeypatch.setenv("QLOWER_CAP", "100")
         with pytest.raises(CapacityError) as err:
-            build_selector_matrix(GridSpec(2, 9), cap=100)
+            build_selector_matrix(GridSpec(2, 9))
         assert err.value.required == 100 * 19
         assert err.value.cap == 100
+
+    def test_readout_over_cap_fails_before_building(self, monkeypatch):
+        monkeypatch.setenv("QLOWER_CAP", "4")
+        monkeypatch.setattr(qlower.approx, "build_readout", None)  # never reached
+        with pytest.raises(CapacityError) as err:
+            build_approximator(linear_spec(), F(1, 4))
+        assert (err.value.required, err.value.cap) == (5, 4)
 
     def test_over_cap_bundle_is_implicit_only(self, monkeypatch):
         monkeypatch.setenv("QLOWER_CAP", "500")
@@ -283,10 +322,6 @@ class TestCapacityCap:
         with pytest.raises(DomainError):
             selector_cap()
 
-    def test_explicit_cap_beats_env(self, monkeypatch):
-        monkeypatch.setenv("QLOWER_CAP", "50")
-        assert selector_cap(10**6) == 10**6
-
 
 class TestBundleFromNetwork:
     def test_round_trip_through_serialization(self):
@@ -303,6 +338,12 @@ class TestBundleFromNetwork:
         scaled = type(net)(net.input_dim, net.matrices, net.activation, F(1, 2))
         again = bundle_from_network(deserialize(serialize(scaled)))
         assert again.readout == tuple(v / 2 for v in bundle.readout)
+
+    def test_read_back_bundle_has_no_certificate(self):
+        bundle = bundle_from_network(build_approximator(linear_spec(), F(1, 5)).network)
+        assert bundle.epsilon is None and bundle.holder is None
+        assert bundle.certified is False
+        assert bundle.certificate_dict()["epsilon"] is None
 
     def test_rejects_non_approximator_shapes(self, example_net):
         with pytest.raises(DomainError):
@@ -338,9 +379,9 @@ class TestDerivedNetwork:
     def test_network_built_once(self, monkeypatch):
         built = []
 
-        def counting(grid, cap=None):
+        def counting(grid):
             built.append(grid)
-            return build_selector_matrix(grid, cap)
+            return build_selector_matrix(grid)
 
         monkeypatch.setattr(qlower.approx, "build_selector_matrix", counting)
         bundle = build_approximator(linear_spec(2), F(1, 3))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qlower.harness
 from qlower import evaluate, load_network, random_network, save_network
 from qlower.cli import main
 
@@ -78,6 +79,38 @@ class TestApprox:
         assert json.loads(out)["certified"] is False
         assert json.loads(err)["error"] == "DomainError"
         assert json.loads((tmp_path / "m.cert.json").read_text())["certified"] is False
+
+    def test_bound_equal_to_epsilon_is_certified(self, capsys, tmp_path):
+        out_path = tmp_path / "root.json"
+        code, payload, _ = run_json(
+            capsys, "approx", "--target", "root", "--d", 2, "--beta", "1/2",
+            "--K", "7/3", "--eps", "1/3", "--M", 48, "--out", out_path)
+        assert code == 0 and payload["certified"] is True
+        assert json.loads((tmp_path / "root.cert.json").read_text())["certified"] is True
+
+    def test_rational_override_picks_exact_resolution(self, capsys, tmp_path):
+        code, payload, _ = run_json(
+            capsys, "approx", "--target", "root", "--d", 2, "--K", "7/3",
+            "--eps", "1/3", "--out", tmp_path / "root.json")
+        assert code == 0 and payload["M"] == 49  # (K/eps)^2 = 49
+
+    def test_checks_only_the_requested_target(self, capsys, tmp_path, monkeypatch):
+        checked = []
+        original = qlower.harness.check_holder
+        monkeypatch.setattr(qlower.harness, "_target_cache", {})
+        monkeypatch.setattr(qlower.harness, "check_holder",
+                            lambda spec, name: (checked.append(name), original(spec, name=name)))
+        code, _, _ = run(capsys, "approx", "--target", "root", "--d", 1,
+                         "--eps", "1/2", "--out", tmp_path / "root.json")
+        assert code == 0 and checked == ["root"]
+
+    def test_readout_over_cap_reports_sizes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("QLOWER_CAP", "4")
+        code, _, err = run(capsys, "approx", "--target", "mean", "--d", 1,
+                           "--eps", "1/4", "--out", tmp_path / "mean.json")
+        error = json.loads(err)
+        assert code == 1 and error["error"] == "CapacityError"
+        assert (error["required"], error["cap"]) == (5, 4)
 
     def test_unknown_target_is_validation_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "approx", "--target", "nope", "--d", 1,
@@ -243,6 +276,7 @@ class TestErrorContract:
         bad.write_text("{broken")
         code, _, err = run(capsys, "eval", "--net", bad, "--x", "0.5")
         assert code == 1 and json.loads(err)["error"] == "ParseError"
+        assert json.loads(err)["location"] == "line 1 col 2"
 
     def test_every_written_file_reloads(self, capsys, source_net, tmp_path):
         _, src = source_net

@@ -11,6 +11,7 @@ from qlower import (
     WeightSet,
     build_approximator,
     build_selector_matrix,
+    builtin_target,
     builtin_targets,
     check_holder,
     equivalence_check,
@@ -53,6 +54,11 @@ class TestBuiltinTargets:
 
     def test_registry_is_memoized(self):
         assert builtin_targets(1)["mean"] is builtin_targets(1)["mean"]
+        assert builtin_target("mean", 1) is builtin_targets(1)["mean"]
+
+    def test_unknown_name_lists_available(self):
+        with pytest.raises(DomainError, match="available: const, maxcoord, mean, root"):
+            builtin_target("nope", 1)
 
 
 class TestCheckHolder:

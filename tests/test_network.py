@@ -197,6 +197,13 @@ class TestSerialization:
             network_from_dict(payload)
         assert "$.matrices[1].entries[0]" in str(err.value)
 
+    def test_entry_exponent_is_bounded(self, example_net):
+        payload = json.loads(serialize(example_net))
+        payload["matrices"][0]["entries"][1] = "1e5000"
+        with pytest.raises(ParseError) as err:
+            network_from_dict(payload)
+        assert err.value.location == "$.matrices[0].entries[1]"
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_networks_round_trip(self, seed):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,10 +29,23 @@ class TestAsRational:
         assert as_rational(0.1) != Fraction(1, 10)
 
     @pytest.mark.parametrize("bad", ["", "abc", "1/0", "1//2", None, [1], True, False,
-                                     float("nan"), float("inf"), float("-inf")])
+                                     float("nan"), float("inf"), float("-inf"),
+                                     "1e5000", "1e-5000"])
     def test_rejections(self, bad):
         with pytest.raises(ParseError):
             as_rational(bad)
+
+    def test_exponent_bound_follows_int_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            assert as_rational("1e4300") == 10**4300
+            with pytest.raises(ParseError):
+                as_rational("1e4301")
+            sys.set_int_max_str_digits(0)  # 0 lifts the limit
+            assert as_rational("1e5000") == 10**5000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestFormatRational:
