@@ -111,8 +111,8 @@ def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike
     Not always the smallest: K/(M+1)^beta <= eps holds exactly when
     M+1 >= this value, so M one smaller certifies too whenever that is
     still >= 1 (K=1, beta=1, eps=1/10 gives M=10, yet M=9 certifies).
-    Computed exactly when 1/beta is an integer (the common beta = 1 and
-    beta = 1/2 cases); otherwise in 64-bit arithmetic.
+    Decided in integers for every rational beta = p/r: the result is the
+    least N >= 1 with N^p >= (K/eps)^r.
     """
     K_ = as_rational(K)
     beta_ = as_rational(beta)
@@ -121,11 +121,23 @@ def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike
         raise DomainError(f"K and epsilon must be positive, got K={K}, epsilon={epsilon}")
     if not 0 < beta_ <= 1:
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
+    p, r = beta_.numerator, beta_.denominator
     q = K_ / eps_
-    inv = 1 / beta_
-    if inv.denominator == 1:
-        return max(1, math.ceil(q ** inv.numerator))
-    return max(1, math.ceil(float(q) ** float(inv)))
+    # N^p is an integer, so N^p >= (K/eps)^r exactly when N^p >= ceil((K/eps)^r).
+    return _ceil_root(-(-(q.numerator ** r) // q.denominator ** r), p)
+
+
+def _ceil_root(c: int, p: int) -> int:
+    """Least n >= 1 with n^p >= c, by integer Newton iteration."""
+    if c <= 1:
+        return 1
+    n = 1 << -(-c.bit_length() // p)  # 2^ceil(bits/p) > c^(1/p)
+    while True:  # decreases to floor(c^(1/p)) from above
+        m = ((p - 1) * n + c // n ** (p - 1)) // p
+        if m >= n:
+            break
+        n = m
+    return n if n ** p >= c else n + 1
 
 
 def cell_index(x: Sequence[RationalLike], grid: GridSpec) -> int:
@@ -307,7 +319,10 @@ class ApproximatorBundle:
         }
 
 
-def _bundle(grid, epsilon, holder, evaluator, note) -> ApproximatorBundle:
+def _readout_grid(d: int, M: int) -> GridSpec:
+    """GridSpec(d, M), refused with CapacityError when its readout would
+    have more cells than the cap."""
+    grid = GridSpec(d, M)
     cap = selector_cap()
     if grid.cell_count > cap:
         raise CapacityError(
@@ -316,6 +331,10 @@ def _bundle(grid, epsilon, holder, evaluator, note) -> ApproximatorBundle:
             required=grid.cell_count,
             cap=cap,
         )
+    return grid
+
+
+def _bundle(grid, epsilon, holder, evaluator, note) -> ApproximatorBundle:
     if not selector_fits(grid):
         note += "; selector left implicit (over the materialization cap)"
     return ApproximatorBundle(grid, epsilon, build_readout(evaluator, grid), holder, note)
@@ -333,13 +352,27 @@ def build_approximator(
     its claimed Hoelder inequality. An explicit M_override skips the
     choice and is recorded in the certificate note.
     """
+    grid = approximator_grid(f, epsilon, M_override)
+    note = NOTE_CERTIFIED if M_override is None else NOTE_USER_M
+    return _bundle(grid, as_rational(epsilon), f, f.evaluator, note)
+
+
+def approximator_grid(
+    f: HolderFunctionSpec,
+    epsilon: RationalLike,
+    M_override: Optional[int] = None,
+) -> GridSpec:
+    """The grid build_approximator uses, found from f's constants alone.
+
+    Raises CapacityError when the grid has more cells than QLOWER_CAP,
+    so a caller can refuse an impossible grid before other work.
+    """
     eps = as_rational(epsilon)
     if eps <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if M_override is None:
-        grid = GridSpec(f.d, choose_resolution(f.K, f.beta, eps))
-        return _bundle(grid, eps, f, f.evaluator, NOTE_CERTIFIED)
-    return _bundle(GridSpec(f.d, M_override), eps, f, f.evaluator, NOTE_USER_M)
+        return _readout_grid(f.d, choose_resolution(f.K, f.beta, eps))
+    return _readout_grid(f.d, M_override)
 
 
 def evaluate_implicit(bundle: ApproximatorBundle, x: Sequence[RationalLike], mode: str = "exact"):
@@ -397,12 +430,12 @@ def approximate_continuous(
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     if M_override is not None:
-        return _bundle(GridSpec(d, M_override), eps, None, evaluator, NOTE_USER_M)
+        return _bundle(_readout_grid(d, M_override), eps, None, evaluator, NOTE_USER_M)
     eps_f = float(eps)
     for M in range(1, max_resolution + 1):
         rng = random.Random(f"modulus:{seed}:{M}")
         if _sampled_modulus(evaluator, d, 1.0 / (M + 1), rng, pairs) <= eps_f:
-            return _bundle(GridSpec(d, M), eps, None, evaluator, NOTE_HEURISTIC)
+            return _bundle(_readout_grid(d, M), eps, None, evaluator, NOTE_HEURISTIC)
     raise DomainError(
         f"no resolution up to {max_resolution} reached the sampled target accuracy; "
         "pass an explicit resolution"

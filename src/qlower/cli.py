@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .approx import (
     HolderFunctionSpec,
+    approximator_grid,
     build_approximator,
     bundle_from_network,
     evaluate_implicit,
@@ -22,6 +23,7 @@ from .approx import (
 from .errors import DomainError, QlowerError
 from .harness import (
     CSV_COLUMNS,
+    builtin_spec,
     builtin_target,
     check_holder,
     equivalence_check,
@@ -103,8 +105,9 @@ def _mode(args) -> str:
 
 
 def cmd_approx(args) -> int:
-    spec = builtin_target(args.target, args.d)
-    if args.beta is not None or args.K is not None or args.F is not None:
+    spec = builtin_spec(args.target, args.d)
+    overridden = args.beta is not None or args.K is not None or args.F is not None
+    if overridden:
         spec = HolderFunctionSpec(
             spec.evaluator,
             args.d,
@@ -112,7 +115,13 @@ def cmd_approx(args) -> int:
             args.K if args.K is not None else spec.K,
             args.F if args.F is not None else spec.F,
         )
+    # The grid follows from the claimed constants alone: refuse an over-cap
+    # grid before the Hoelder spot-check, which takes seconds in high d.
+    approximator_grid(spec, args.eps, args.M)
+    if overridden:
         check_holder(spec, name=args.target)
+    else:
+        spec = builtin_target(args.target, args.d)
     bundle = build_approximator(spec, args.eps, M_override=args.M)
     materialized = bundle.network is not None
     if materialized:

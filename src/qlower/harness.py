@@ -121,14 +121,19 @@ def builtin_target(name: str, d: int) -> HolderFunctionSpec:
     The claim is spot-checked on first use per (name, d), then cached.
     """
     if (name, d) not in _target_cache:
-        if name not in _BUILTIN:
-            raise DomainError(
-                f"unknown target {name!r}; available: {', '.join(sorted(_BUILTIN))}")
-        evaluator, *constants = _BUILTIN[name]
-        spec = HolderFunctionSpec(evaluator, d, *constants)
+        spec = builtin_spec(name, d)
         check_holder(spec, name=name)
         _target_cache[name, d] = spec
     return _target_cache[name, d]
+
+
+def builtin_spec(name: str, d: int) -> HolderFunctionSpec:
+    """The named target with its claimed constants, not spot-checked."""
+    if name not in _BUILTIN:
+        raise DomainError(
+            f"unknown target {name!r}; available: {', '.join(sorted(_BUILTIN))}")
+    evaluator, *constants = _BUILTIN[name]
+    return HolderFunctionSpec(evaluator, d, *constants)
 
 
 def builtin_targets(d: int) -> dict[str, HolderFunctionSpec]:

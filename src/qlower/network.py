@@ -13,6 +13,17 @@ readers is safe.
 Exact evaluation never touches floats: each layer is computed in integer
 arithmetic over a running common denominator, which avoids per-operation
 gcd reduction and is exact for arbitrary rational weights and inputs.
+
+It runs on a row-quotient plan that each network builds once, on first
+use. Units whose rows are identical compute identical values, so every
+layer keeps only its distinct rows, and the next layer sums the columns
+of the units it merged before its own rows are compared. The lowering
+passes duplicate every hidden unit, so a lowered net shrinks back to
+about its source's widths; a net with no repeated row is evaluated as it
+is. Results are expanded back to one value per unit at the output and in
+``forward_trace``, so the plan changes no value. Float mode evaluates the
+matrices as they are, because summing columns would change binary64
+rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import DimensionError, DomainError, ParseError
 from .rationals import RationalLike, as_rational, format_rational, lcm_denominators
@@ -112,24 +123,6 @@ class WeightMatrix:
     def nonzero_count(self) -> int:
         return sum(1 for e in self.entries if e)
 
-    # Cached forms used by the evaluation kernels. The integer form scales
-    # the whole matrix by the lcm of its denominators so every entry is an
-    # int; sparse rows win once most entries are zero.
-    @cached_property
-    def _int_form(self) -> tuple[int, tuple, bool]:
-        scale = lcm_denominators(self.entries)
-        dense = tuple(
-            tuple(e.numerator * (scale // e.denominator) for e in self.row(r))
-            for r in range(self.rows)
-        )
-        nnz = self.nonzero_count()
-        if nnz * 2 < self.rows * self.cols:
-            sparse = tuple(
-                tuple((j, w) for j, w in enumerate(row) if w) for row in dense
-            )
-            return scale, sparse, True
-        return scale, dense, False
-
     @cached_property
     def _float_rows(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(float(e) for e in self.row(r)) for r in range(self.rows))
@@ -188,6 +181,60 @@ class Network:
     def output_dim(self) -> int:
         return self.matrices[-1].rows
 
+    @cached_property
+    def _plan(self) -> tuple[_LayerPlan, ...]:
+        """The row-quotient plan that exact evaluation runs on."""
+        plan: list[_LayerPlan] = []
+        merged = None
+        for mat in self.matrices:
+            plan.append(_plan_layer(mat, merged))
+            merged = plan[-1].gather
+        return tuple(plan)
+
+
+class _LayerPlan(NamedTuple):
+    """One matrix of a network's exact-evaluation plan.
+
+    ``rows`` are the distinct integer rows of the matrix times ``scale``
+    (the lcm of its denominators), read over the distinct units of the
+    previous layer: as ``(column, weight)`` pairs of the nonzero entries
+    when ``sparse``, else as dense tuples. ``gather[u]`` is the index of
+    unit u's row, and ``gather`` is None when no row repeats.
+    """
+
+    scale: int
+    rows: tuple
+    sparse: bool
+    gather: tuple[int, ...] | None
+
+
+def _plan_layer(mat: WeightMatrix, merged: tuple[int, ...] | None) -> _LayerPlan:
+    """Plan one matrix whose input units map to distinct values by ``merged``
+    (None when the input units are all distinct)."""
+    scale = lcm_denominators(mat.entries)
+    rows = (
+        tuple(e.numerator * (scale // e.denominator) for e in mat.row(r))
+        for r in range(mat.rows)
+    )
+    if merged is not None:
+        width = max(merged) + 1
+
+        def sum_merged_columns(row):
+            out = [0] * width
+            for j, w in zip(merged, row):
+                out[j] += w
+            return tuple(out)
+
+        rows = map(sum_merged_columns, rows)
+    index: dict[tuple[int, ...], int] = {}
+    gather = tuple(index.setdefault(row, len(index)) for row in rows)
+    distinct = tuple(index)
+    nnz = sum(len(row) - row.count(0) for row in distinct)
+    sparse = nnz * 2 < len(distinct) * len(distinct[0])
+    if sparse:
+        distinct = tuple(tuple((j, w) for j, w in enumerate(row) if w) for row in distinct)
+    return _LayerPlan(scale, distinct, sparse, None if len(distinct) == mat.rows else gather)
+
 
 @dataclass(frozen=True)
 class SparsityReport:
@@ -228,16 +275,18 @@ def _forward_exact(net: Network, xs: list[Fraction], want_trace: bool):
     # State: integer numerators over one shared positive denominator.
     den = lcm_denominators(xs)
     nums = [den] + [f.numerator * (den // f.denominator) for f in xs]
+    # Values are kept per distinct unit and expanded through the gather
+    # map only where they are returned.
+    plan = net._plan
     kind = net.activation
-    last = len(net.matrices) - 1
+    last = len(plan) - 1
     trace: list[list[Fraction]] = []
-    for i, mat in enumerate(net.matrices):
-        scale, rows, is_sparse = mat._int_form
-        if is_sparse:
-            nums = [sum(w * nums[j] for j, w in row) for row in rows]
+    for i, layer in enumerate(plan):
+        if layer.sparse:
+            nums = [sum(w * nums[j] for j, w in row) for row in layer.rows]
         else:
-            nums = [sum(w * v for w, v in zip(row, nums) if w) for row in rows]
-        den *= scale
+            nums = [sum(w * v for w, v in zip(row, nums) if w) for row in layer.rows]
+        den *= layer.scale
         if i < last:
             if kind is ActivationKind.INDICATOR01:
                 nums = [1 if 0 <= n < den else 0 for n in nums]
@@ -245,10 +294,14 @@ def _forward_exact(net: Network, xs: list[Fraction], want_trace: bool):
             else:
                 nums = [n if n > 0 else 0 for n in nums]
             if want_trace:
-                trace.append([Fraction(n, den) for n in nums])
+                trace.append(_expand([Fraction(n, den) for n in nums], layer.gather))
     sn, sd = net.output_scale.numerator, net.output_scale.denominator
     out = [Fraction(n * sn, den * sd) for n in nums]
-    return out, trace
+    return _expand(out, plan[-1].gather), trace
+
+
+def _expand(values: list, gather: tuple[int, ...] | None) -> list:
+    return values if gather is None else [values[g] for g in gather]
 
 
 def _forward_float(net: Network, xs: list[float], want_trace: bool):

@@ -51,9 +51,20 @@ class TestChooseResolution:
         (1, 0.5, "1/5", 25),         # exact integer-power path
         (1, 1, "2/3", 2),            # ceil(3/2)
         (1, 1, 3, 1),                # floor at 1
+        (2, "2/3", "1/4", 23),       # least N with N^2 >= 8^3 = 512
+        (1, "3/7", "1/8", 128),      # 8^(7/3) = 128 exactly; binary64 gave 129
     ])
     def test_values(self, K, beta, eps, expected):
         assert choose_resolution(K, beta, eps) == expected
+
+    def test_non_unit_fraction_beta_decided_exactly(self):
+        # beta=2/3: M=7 certifies iff K/8^(2/3) = K/4 <= 1, false for K just
+        # above 4; binary64 rounds K to 4.0 and read it as certified.
+        K = F(4 * 10**17 + 1, 10**17)
+        assert choose_resolution(K, F(2, 3), 1) == 9  # least N with N^2 >= ceil(K^3) = 65
+        spec = HolderFunctionSpec(lambda x: F(0), 1, F(2, 3), K, 1)
+        assert not build_approximator(spec, 1, M_override=7).certified
+        assert build_approximator(spec, 1, M_override=8).certified
 
     @pytest.mark.parametrize("K, beta, eps", [
         (0, 1, 1), (-1, 1, 1), (1, 0, 1), (1, 2, 1), (1, 1, 0), (1, 1, -1),

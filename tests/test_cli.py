@@ -104,6 +104,17 @@ class TestApprox:
                          "--eps", "1/2", "--out", tmp_path / "root.json")
         assert code == 0 and checked == ["root"]
 
+    def test_over_cap_grid_fails_before_holder_check(self, capsys, tmp_path, monkeypatch):
+        checked = []
+        monkeypatch.setattr(qlower.harness, "_target_cache", {})
+        monkeypatch.setattr(qlower.harness, "check_holder",
+                            lambda spec, name: checked.append(name))
+        code, _, err = run(capsys, "approx", "--target", "mean", "--d", 10,
+                           "--eps", "1/100", "--out", tmp_path / "mean.json")
+        error = json.loads(err)
+        assert code == 1 and error["error"] == "CapacityError"
+        assert error["required"] == 101**10 and checked == []
+
     def test_readout_over_cap_reports_sizes(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("QLOWER_CAP", "4")
         code, _, err = run(capsys, "approx", "--target", "mean", "--d", 1,

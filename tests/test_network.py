@@ -1,6 +1,8 @@
+import importlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,13 @@ from hypothesis import strategies as st
 from qlower import (
     ActivationKind,
     DimensionError,
+    HolderFunctionSpec,
     Network,
     ParseError,
     WeightMatrix,
     WeightSet,
+    binarize,
+    build_approximator,
     deserialize,
     evaluate,
     forward_trace,
@@ -22,9 +27,12 @@ from qlower import (
     save_network,
     serialize,
     sparsity,
+    ternarize,
     validate,
 )
 from conftest import mat, relu_net
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestWorkedExamples:
@@ -49,6 +57,98 @@ class TestWorkedExamples:
         scaled = Network(1, example_net.matrices, example_net.activation,
                          Fraction(1, 4))
         assert evaluate(scaled, ["4/5"]) == Fraction(-1, 40)
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    """bench/reference.py: a plain-Fraction interpreter sharing no code with qlower."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("reference")
+
+
+def reference_trace(reference, net, x):
+    """Post-activation values of every hidden layer, by the reference."""
+    input_dim, activation, _, mats = reference.plain_network(net)
+    trace = []
+    for k in range(net.depth):
+        pre = reference.evaluate((input_dim, activation, Fraction(1), mats[:k + 1]), x)
+        if activation == "relu":
+            trace.append(tuple(max(v, Fraction(0)) for v in pre))
+        else:
+            trace.append(tuple(Fraction(int(0 <= v < 1)) for v in pre))
+    return trace
+
+
+def plan_widths(net):
+    return tuple(len(layer.rows) for layer in net._plan)
+
+
+class TestEvaluationPlan:
+    """Exact evaluation runs on distinct rows only; every value returned
+    must still be the plain formula's, unit by unit."""
+
+    def assert_matches_reference(self, reference, net, points):
+        plain = reference.plain_network(net)
+        for x in points:
+            trace, out = forward_trace(net, x)
+            assert trace == reference_trace(reference, net, x)
+            want = reference.evaluate(plain, x)
+            assert evaluate(net, x) == (want[0] if len(want) == 1 else tuple(want))
+            assert out == evaluate(net, x)
+
+    def test_lowered_trace_matches_reference_at_every_layer(self, reference):
+        rng = random.Random(7)
+        for d, depth in ((1, 1), (2, 2), (3, 1)):
+            source = random_network(rng, d, depth, 5)
+            lowered, _ = binarize(ternarize(source)[0])
+            assert any(layer.gather is not None for layer in lowered._plan)
+            points = [[Fraction(k, 3)] * d for k in range(4)]
+            points.append([Fraction(j + 1, d + 2) for j in range(d)])
+            self.assert_matches_reference(reference, lowered, points)
+            trace, _ = forward_trace(lowered, [Fraction(1, 2)] * d)
+            assert [len(t) for t in trace] == [m.rows for m in lowered.matrices[:-1]]
+
+    def test_indicator_net_with_repeated_rows(self, reference):
+        net = Network(2, (
+            mat([[0, 1, 0], ["-1/2", 1, 0], [0, 1, 0], [0, 0, 1], ["-1/2", 1, 0]]),
+            mat([[1, 0, 0, 1, 0], [0, 1, 1, 0, 0], ["1/2", 0, 0, 0, "1/2"]]),
+            mat([[1, 2, 3]]),
+        ), ActivationKind.INDICATOR01)
+        assert plan_widths(net) == (3, 3, 1)
+        points = [[Fraction(a, 4), Fraction(b, 4)] for a in range(5) for b in range(5)]
+        self.assert_matches_reference(reference, net, points)
+
+    def test_identical_output_rows(self, reference):
+        net = relu_net(1, [["-1/2", 1], [0, 1]], [[1, "-1/2"], [1, "-1/2"]])
+        assert net._plan[-1].gather == (0, 0)
+        assert evaluate(net, ["4/5"]) == (Fraction(-1, 10), Fraction(-1, 10))
+        self.assert_matches_reference(reference, net, [[Fraction(k, 5)] for k in range(6)])
+
+    def test_rows_equal_only_after_column_merge(self, reference):
+        # Units 0 and 1 compute the same x, so rows (1, 0) and (0, 1) of the
+        # next matrix both read 1 on the merged unit and compute the same value.
+        net = relu_net(1, [[0, 1], [0, 1]], [[1, 0], [0, 1]], [[1, -2]])
+        assert plan_widths(net) == (1, 1, 1)
+        assert net._plan[1].gather == (0, 0)
+        self.assert_matches_reference(reference, net, [[Fraction(k, 4)] for k in range(5)])
+        assert evaluate(net, ["1/2"]) == Fraction(-1, 2)
+
+    def test_binarized_plan_widths(self):
+        rng = random.Random(3)
+        for d, depth in ((1, 1), (2, 3), (3, 2)):
+            source = random_network(rng, d, depth, 8)
+            lowered, _ = binarize(ternarize(source)[0])
+            widths = plan_widths(lowered)
+            assert widths[:5] == (d + 1,) * 5  # binary then ternary prefix copies of (1, x)
+            body = [m.rows for m in source.matrices]
+            assert len(widths) == 5 + len(body)
+            assert all(w <= b for w, b in zip(widths[5:], body))
+
+    def test_approximator_plan_has_no_gather_maps(self):
+        mean = HolderFunctionSpec(lambda x: sum(x, Fraction(0)) / 2, 2, 1, 1, 1)
+        net = build_approximator(mean, Fraction(1, 4)).network
+        assert [layer.gather for layer in net._plan] == [None, None, None]
+        assert plan_widths(net) == tuple(m.rows for m in net.matrices)
 
 
 class TestShapes:
