@@ -24,6 +24,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -105,14 +106,21 @@ class GridSpec:
         return tuple(Fraction(m, base) for m in self.cell_coords(k))
 
 
+_EXACT_BITS = 1 << 16  # largest (K/eps)^r that choose_resolution expands
+_SEED_BITS = 50  # largest log2 resolution it seeds from a binary64 root
+
+
 def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike) -> int:
     """Certifying grid resolution, M = max(1, ceil((K/eps)^(1/beta))).
 
     Not always the smallest: K/(M+1)^beta <= eps holds exactly when
     M+1 >= this value, so M one smaller certifies too whenever that is
     still >= 1 (K=1, beta=1, eps=1/10 gives M=10, yet M=9 certifies).
-    Decided in integers for every rational beta = p/r: the result is the
-    least N >= 1 with N^p >= (K/eps)^r.
+    Exact for every rational beta = p/r: the result is the least N >= 1
+    with N^p >= (K/eps)^r. That is decided in integers while (K/eps)^r
+    has at most _EXACT_BITS bits; a larger denominator, such as the 2^52
+    of a binary64 beta, is decided from logarithms (see _reaches), and
+    then a resolution above 2^_SEED_BITS raises DomainError.
     """
     K_ = as_rational(K)
     beta_ = as_rational(beta)
@@ -123,8 +131,28 @@ def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
     p, r = beta_.numerator, beta_.denominator
     q = K_ / eps_
-    # N^p is an integer, so N^p >= (K/eps)^r exactly when N^p >= ceil((K/eps)^r).
-    return _ceil_root(-(-(q.numerator ** r) // q.denominator ** r), p)
+    if q <= 1:
+        return 1
+    a, b = q.numerator, q.denominator
+    if r * a.bit_length() <= _EXACT_BITS:
+        # N^p is an integer, so N^p >= (K/eps)^r exactly when N^p >= ceil((K/eps)^r).
+        return _ceil_root(-(-(a ** r) // b ** r), p)
+    # (K/eps)^r is too large to expand: seed from the binary64 root and
+    # decide the boundary from logarithms. N >= K/eps as beta <= 1, so
+    # capping q keeps float(q) finite and every q >= 2^(_SEED_BITS+1)
+    # still above the limit.
+    log2_n = math.log2(min(q, 2 << _SEED_BITS)) / float(beta_)
+    if log2_n > _SEED_BITS:
+        raise DomainError(
+            f"resolution too large to compute exactly: (K/eps)^(1/beta) is above "
+            f"2^{_SEED_BITS} and (K/eps)^r has over {_EXACT_BITS} bits for "
+            f"beta = p/r = {float(beta_)}")
+    n = math.ceil(2.0 ** log2_n)  # the binary64 root, off by at most a few
+    while not _reaches(n, q, beta_):
+        n += 1
+    while n > 1 and _reaches(n - 1, q, beta_):
+        n -= 1
+    return n
 
 
 def _ceil_root(c: int, p: int) -> int:
@@ -138,6 +166,30 @@ def _ceil_root(c: int, p: int) -> int:
             break
         n = m
     return n if n ** p >= c else n + 1
+
+
+def _reaches(n: int, q: Fraction, beta: Fraction) -> bool:
+    """Whether n^beta >= q, for n >= 1 and n^beta != q.
+
+    Compares p*ln(n) with r*ln(q) for beta = p/r in decimal arithmetic,
+    doubling the precision until their difference exceeds a bound on its
+    rounding error (each ln is correctly rounded; the bound allows 100
+    units in the last place of the largest term). The difference is
+    never 0 where choose_resolution calls this: n^p = q^r needs q = m^p
+    and n = m^r for an integer m, so n < 2^(_SEED_BITS+1) and r*bits(q)
+    > _EXACT_BITS rule it out for q > 1.
+    """
+    terms = ((beta.numerator, n), (-beta.denominator, q.numerator),
+             (beta.denominator, q.denominator))
+    prec = 40
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            parts = [Decimal(c) * Decimal(x).ln() for c, x in terms]
+            diff = sum(parts)
+            if abs(diff) > max(map(abs, parts)) * Decimal(10) ** (3 - prec):
+                return diff > 0
+        prec *= 2
 
 
 def cell_index(x: Sequence[RationalLike], grid: GridSpec) -> int:
@@ -319,10 +371,7 @@ class ApproximatorBundle:
         }
 
 
-def _readout_grid(d: int, M: int) -> GridSpec:
-    """GridSpec(d, M), refused with CapacityError when its readout would
-    have more cells than the cap."""
-    grid = GridSpec(d, M)
+def _bundle(grid, epsilon, holder, evaluator, note) -> ApproximatorBundle:
     cap = selector_cap()
     if grid.cell_count > cap:
         raise CapacityError(
@@ -331,10 +380,6 @@ def _readout_grid(d: int, M: int) -> GridSpec:
             required=grid.cell_count,
             cap=cap,
         )
-    return grid
-
-
-def _bundle(grid, epsilon, holder, evaluator, note) -> ApproximatorBundle:
     if not selector_fits(grid):
         note += "; selector left implicit (over the materialization cap)"
     return ApproximatorBundle(grid, epsilon, build_readout(evaluator, grid), holder, note)
@@ -350,29 +395,16 @@ def build_approximator(
     The resolution is chosen so that K/(M+1)^beta <= epsilon, which
     certifies the sup-norm error whenever the target really satisfies
     its claimed Hoelder inequality. An explicit M_override skips the
-    choice and is recorded in the certificate note.
-    """
-    grid = approximator_grid(f, epsilon, M_override)
-    note = NOTE_CERTIFIED if M_override is None else NOTE_USER_M
-    return _bundle(grid, as_rational(epsilon), f, f.evaluator, note)
-
-
-def approximator_grid(
-    f: HolderFunctionSpec,
-    epsilon: RationalLike,
-    M_override: Optional[int] = None,
-) -> GridSpec:
-    """The grid build_approximator uses, found from f's constants alone.
-
-    Raises CapacityError when the grid has more cells than QLOWER_CAP,
-    so a caller can refuse an impossible grid before other work.
+    choice and is recorded in the certificate note. A grid over the cap
+    raises CapacityError before the target is evaluated anywhere.
     """
     eps = as_rational(epsilon)
     if eps <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if M_override is None:
-        return _readout_grid(f.d, choose_resolution(f.K, f.beta, eps))
-    return _readout_grid(f.d, M_override)
+        grid = GridSpec(f.d, choose_resolution(f.K, f.beta, eps))
+        return _bundle(grid, eps, f, f.evaluator, NOTE_CERTIFIED)
+    return _bundle(GridSpec(f.d, M_override), eps, f, f.evaluator, NOTE_USER_M)
 
 
 def evaluate_implicit(bundle: ApproximatorBundle, x: Sequence[RationalLike], mode: str = "exact"):
@@ -430,12 +462,12 @@ def approximate_continuous(
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     if M_override is not None:
-        return _bundle(_readout_grid(d, M_override), eps, None, evaluator, NOTE_USER_M)
+        return _bundle(GridSpec(d, M_override), eps, None, evaluator, NOTE_USER_M)
     eps_f = float(eps)
     for M in range(1, max_resolution + 1):
         rng = random.Random(f"modulus:{seed}:{M}")
         if _sampled_modulus(evaluator, d, 1.0 / (M + 1), rng, pairs) <= eps_f:
-            return _bundle(_readout_grid(d, M), eps, None, evaluator, NOTE_HEURISTIC)
+            return _bundle(GridSpec(d, M), eps, None, evaluator, NOTE_HEURISTIC)
     raise DomainError(
         f"no resolution up to {max_resolution} reached the sampled target accuracy; "
         "pass an explicit resolution"

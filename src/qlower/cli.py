@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 from .approx import (
     HolderFunctionSpec,
-    approximator_grid,
     build_approximator,
     bundle_from_network,
     evaluate_implicit,
@@ -115,14 +114,14 @@ def cmd_approx(args) -> int:
             args.K if args.K is not None else spec.K,
             args.F if args.F is not None else spec.F,
         )
-    # The grid follows from the claimed constants alone: refuse an over-cap
-    # grid before the Hoelder spot-check, which takes seconds in high d.
-    approximator_grid(spec, args.eps, args.M)
+    # Build from the claimed constants first: an over-cap grid raises
+    # CapacityError here, before the Hoelder spot-check, which takes
+    # seconds in high d.
+    bundle = build_approximator(spec, args.eps, M_override=args.M)
     if overridden:
         check_holder(spec, name=args.target)
     else:
-        spec = builtin_target(args.target, args.d)
-    bundle = build_approximator(spec, args.eps, M_override=args.M)
+        builtin_target(args.target, args.d)
     materialized = bundle.network is not None
     if materialized:
         save_network(bundle.network, args.out)

@@ -53,6 +53,9 @@ class TestChooseResolution:
         (1, 1, 3, 1),                # floor at 1
         (2, "2/3", "1/4", 23),       # least N with N^2 >= 8^3 = 512
         (1, "3/7", "1/8", 128),      # 8^(7/3) = 128 exactly; binary64 gave 129
+        (1, 0.7, "1/10", 27),        # binary64 beta: denominator 2^52
+        (4, "0.5" + "0" * 60 + "1", 1, 16),  # 16^beta just above 4
+        (4, "0.4" + "9" * 60, 1, 17),        # 16^beta just below 4
     ])
     def test_values(self, K, beta, eps, expected):
         assert choose_resolution(K, beta, eps) == expected
@@ -68,6 +71,7 @@ class TestChooseResolution:
 
     @pytest.mark.parametrize("K, beta, eps", [
         (0, 1, 1), (-1, 1, 1), (1, 0, 1), (1, 2, 1), (1, 1, 0), (1, 1, -1),
+        (2, 0.01, 1),  # 2^100, with a denominator too large for exact powers
     ])
     def test_rejections(self, K, beta, eps):
         with pytest.raises(DomainError):

@@ -94,6 +94,13 @@ class TestApprox:
             "--eps", "1/3", "--out", tmp_path / "root.json")
         assert code == 0 and payload["M"] == 49  # (K/eps)^2 = 49
 
+    def test_long_decimal_beta(self, capsys, tmp_path):
+        code, payload, _ = run_json(
+            capsys, "approx", "--target", "mean", "--d", 1,
+            "--beta", "0.7071067811865476", "--eps", "1/10",
+            "--out", tmp_path / "mean.json")
+        assert code == 0 and payload["M"] == 26  # 10^(1/beta) = 25.95...
+
     def test_checks_only_the_requested_target(self, capsys, tmp_path, monkeypatch):
         checked = []
         original = qlower.harness.check_holder
