@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import os
-import random
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -38,7 +38,6 @@ CAP_ENV_VAR = "QLOWER_CAP"
 
 NOTE_CERTIFIED = "certified resolution from the Hoelder constants"
 NOTE_USER_M = "user-supplied resolution"
-NOTE_HEURISTIC = "heuristic sampled-modulus resolution, not a proof"
 NOTE_RECONSTRUCTED = "reconstructed from a serialized network"
 
 ZERO = Fraction(0)
@@ -226,6 +225,27 @@ def build_threshold_matrix(grid: GridSpec) -> WeightMatrix:
     return WeightMatrix.from_rows(rows)
 
 
+def _check_cap(required: int, what: str, unit: str, remedy: str) -> None:
+    """Raise CapacityError when `what` needs more `unit`s than the cap.
+
+    A size with more decimal digits than sys.get_int_max_str_digits()
+    allows cannot be printed, so message and ``required`` then give the
+    power of two it reaches instead.
+    """
+    cap = selector_cap()
+    if required <= cap:
+        return
+    size = required
+    limit = sys.get_int_max_str_digits()
+    if limit and required >= 10**limit:
+        size = f"at least 2^{required.bit_length() - 1}"
+    raise CapacityError(
+        f"{what} needs {size} {unit}, over the cap of {cap}; {remedy} or raise {CAP_ENV_VAR}",
+        required=size,
+        cap=cap,
+    )
+
+
 def selector_fits(grid: GridSpec) -> bool:
     """Whether the grid's (M+1)^d x (dM+1) selector is within the cap."""
     return grid.cell_count * (grid.d * grid.M + 1) <= selector_cap()
@@ -249,14 +269,7 @@ def build_selector_matrix(grid: GridSpec) -> WeightMatrix:
     """
     cells = grid.cell_count
     width = grid.d * grid.M + 1
-    if not selector_fits(grid):
-        cap = selector_cap()
-        raise CapacityError(
-            f"selector matrix needs {cells * width} entries, over the cap of "
-            f"{cap}; evaluate implicitly instead or raise {CAP_ENV_VAR}",
-            required=cells * width,
-            cap=cap,
-        )
+    _check_cap(cells * width, "selector matrix", "entries", "evaluate implicitly instead")
     tail = tuple(map(Fraction, _selector_tail(grid)))
     entries: list[Fraction] = []
     for r in range(cells):
@@ -271,7 +284,7 @@ class HolderFunctionSpec:
 
     The claim is trusted here; the harness spot-verifies it by sampling.
     ``beta``, ``K`` and ``F`` accept any RationalLike and are stored as
-    exact Fractions. ``note`` records where the constants come from.
+    exact Fractions.
     """
 
     evaluator: Callable
@@ -279,7 +292,6 @@ class HolderFunctionSpec:
     beta: Fraction
     K: Fraction
     F: Fraction
-    note: str = ""
 
     def __post_init__(self):
         for name in ("beta", "K", "F"):
@@ -371,20 +383,6 @@ class ApproximatorBundle:
         }
 
 
-def _bundle(grid, epsilon, holder, evaluator, note) -> ApproximatorBundle:
-    cap = selector_cap()
-    if grid.cell_count > cap:
-        raise CapacityError(
-            f"readout needs {grid.cell_count} cells, over the cap of {cap}; "
-            f"choose a coarser accuracy or raise {CAP_ENV_VAR}",
-            required=grid.cell_count,
-            cap=cap,
-        )
-    if not selector_fits(grid):
-        note += "; selector left implicit (over the materialization cap)"
-    return ApproximatorBundle(grid, epsilon, build_readout(evaluator, grid), holder, note)
-
-
 def build_approximator(
     f: HolderFunctionSpec,
     epsilon: RationalLike,
@@ -402,9 +400,13 @@ def build_approximator(
     if eps <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if M_override is None:
-        grid = GridSpec(f.d, choose_resolution(f.K, f.beta, eps))
-        return _bundle(grid, eps, f, f.evaluator, NOTE_CERTIFIED)
-    return _bundle(GridSpec(f.d, M_override), eps, f, f.evaluator, NOTE_USER_M)
+        grid, note = GridSpec(f.d, choose_resolution(f.K, f.beta, eps)), NOTE_CERTIFIED
+    else:
+        grid, note = GridSpec(f.d, M_override), NOTE_USER_M
+    _check_cap(grid.cell_count, "readout", "cells", "choose a coarser accuracy")
+    if not selector_fits(grid):
+        note += "; selector left implicit (over the materialization cap)"
+    return ApproximatorBundle(grid, eps, build_readout(f, grid), f, note)
 
 
 def evaluate_implicit(bundle: ApproximatorBundle, x: Sequence[RationalLike], mode: str = "exact"):
@@ -420,58 +422,6 @@ def evaluate_implicit(bundle: ApproximatorBundle, x: Sequence[RationalLike], mod
     if mode != "exact":
         raise DomainError(f"mode must be 'exact' or 'float', got {mode!r}")
     return value
-
-
-def _sampled_modulus(evaluator, d: int, h: float, rng: random.Random, pairs: int) -> float:
-    """Largest sampled |f(x) - f(y)| over pairs at sup-distance <= h."""
-    worst = 0.0
-    span = max(0.0, 1.0 - h)
-    for n in range(pairs):
-        x = [rng.uniform(0.0, span) for _ in range(d)]
-        if n % 2 == 0:
-            y = [v + h for v in x]
-        else:
-            y = list(x)
-            y[rng.randrange(d)] += h
-        diff = abs(float(evaluator(x)) - float(evaluator(y)))
-        if diff > worst:
-            worst = diff
-    return worst
-
-
-def approximate_continuous(
-    evaluator: Callable,
-    d: int,
-    epsilon: RationalLike,
-    M_override: Optional[int] = None,
-    seed: int = 0,
-    pairs: int = 200,
-    max_resolution: int = 4096,
-) -> ApproximatorBundle:
-    """Approximate a continuous target without certified Hoelder data.
-
-    With M_override the bundle is built at that resolution. Otherwise
-    the modulus of continuity is estimated by seeded sampling and the
-    smallest resolution whose sampled modulus at the cell spacing falls
-    below epsilon is used; the certificate is marked as heuristic, since
-    sampling can miss the true modulus.
-    """
-    eps = as_rational(epsilon)
-    if eps <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    if M_override is not None:
-        return _bundle(GridSpec(d, M_override), eps, None, evaluator, NOTE_USER_M)
-    eps_f = float(eps)
-    for M in range(1, max_resolution + 1):
-        rng = random.Random(f"modulus:{seed}:{M}")
-        if _sampled_modulus(evaluator, d, 1.0 / (M + 1), rng, pairs) <= eps_f:
-            return _bundle(GridSpec(d, M), eps, None, evaluator, NOTE_HEURISTIC)
-    raise DomainError(
-        f"no resolution up to {max_resolution} reached the sampled target accuracy; "
-        "pass an explicit resolution"
-    )
 
 
 def _require_rows(name: str, mat: WeightMatrix, expected: Callable) -> None:

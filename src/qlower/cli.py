@@ -266,8 +266,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    params = TheoremBoundParams(
-        m=args.m, N=args.N, beta=float(args.beta), d=args.d, K=float(args.K))
+    params = TheoremBoundParams(m=args.m, N=args.N, beta=args.beta, d=args.d, K=args.K)
     report = theorem_bounds(params)
     payload = {"command": "bounds", **report.to_dict()}
     _emit(args, payload, [

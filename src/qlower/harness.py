@@ -81,30 +81,23 @@ def check_holder(
         dist = max(abs(a - b) for a, b in zip(x, y))
         fx, fy = spec.evaluator(x), spec.evaluator(y)
         if exact and isinstance(fx, (int, Fraction)) and isinstance(fy, (int, Fraction)):
-            if abs(as_rational(fx) - as_rational(fy)) > spec.K * dist:
-                raise DomainError(
-                    f"target {name!r} violates its claimed constants at "
-                    f"x={[format_rational(v) for v in x]}, "
-                    f"y={[format_rational(v) for v in y]}"
-                )
+            violated = abs(as_rational(fx) - as_rational(fy)) > spec.K * dist
         else:
-            if abs(float(fx) - float(fy)) > K_f * float(dist) ** beta_f + FLOAT_CHECK_SLACK:
-                raise DomainError(
-                    f"target {name!r} violates its claimed constants at "
-                    f"x={[format_rational(v) for v in x]}, "
-                    f"y={[format_rational(v) for v in y]}"
-                )
+            violated = abs(float(fx) - float(fy)) > K_f * float(dist) ** beta_f + FLOAT_CHECK_SLACK
+        if violated:
+            raise DomainError(
+                f"target {name!r} violates its claimed constants at "
+                f"x={[format_rational(v) for v in x]}, "
+                f"y={[format_rational(v) for v in y]}"
+            )
 
 
-_EXACTLY = "constants exact by inspection, spot-checked on seeded pairs"
-_SAMPLED = "constants spot-checked on seeded pairs (binary64)"
-
-# name -> (evaluator, beta, K, F, note)
+# name -> (evaluator, beta, K, F)
 _BUILTIN = {
-    "const": (_const_half, 1, 1, Fraction(1, 2), _EXACTLY),
-    "mean": (_mean, 1, 1, 1, _EXACTLY),
-    "maxcoord": (_maxcoord, 1, 1, 1, _EXACTLY),
-    "root": (_root, Fraction(1, 2), 1, 1, _SAMPLED),
+    "const": (_const_half, 1, 1, Fraction(1, 2)),
+    "mean": (_mean, 1, 1, 1),
+    "maxcoord": (_maxcoord, 1, 1, 1),
+    "root": (_root, Fraction(1, 2), 1, 1),
 }
 
 _target_cache: dict[tuple[str, int], HolderFunctionSpec] = {}

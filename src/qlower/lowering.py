@@ -352,9 +352,9 @@ class TheoremBoundParams:
 
     m: int
     N: int
-    beta: float
+    beta: float | Fraction
     d: int
-    K: float
+    K: float | Fraction
 
 
 @dataclass(frozen=True)
@@ -391,8 +391,17 @@ def theorem_bounds(params: TheoremBoundParams) -> TheoremBoundReport:
 
     The reported error factor is N*2^-m + N^(-beta/d); the multiplicative
     constant depending on (beta, d, K) is not known in closed form and is
-    deliberately not included.
+    deliberately not included. The formulas run in binary64 (beta and K
+    are converted with float()); parameters that overflow it raise
+    DomainError.
     """
+    try:
+        return _theorem_bounds(params)
+    except OverflowError:
+        raise DomainError("parameters too large: the bound formulas overflow binary64") from None
+
+
+def _theorem_bounds(params: TheoremBoundParams) -> TheoremBoundReport:
     m, N, beta, d, K = params.m, params.N, params.beta, params.d, params.K
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"m must be an integer >= 1, got {m}")
@@ -402,6 +411,7 @@ def theorem_bounds(params: TheoremBoundParams) -> TheoremBoundReport:
         raise DomainError(f"beta must be positive, got {beta}")
     if K <= 0:
         raise DomainError(f"K must be positive, got {K}")
+    beta, K = float(beta), float(K)
     n_floor = max((beta + 1) ** d, (K + 1) * math.e**d)
     if not isinstance(N, int) or N < n_floor:
         raise DomainError(

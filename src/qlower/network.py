@@ -66,10 +66,6 @@ class WeightSet(str, Enum):
         """The finite alphabet, or None for the unrestricted set."""
         return _WEIGHT_SET_MEMBERS[self]
 
-    def contains(self, value: Fraction) -> bool:
-        members = _WEIGHT_SET_MEMBERS[self]
-        return True if members is None else value in members
-
 
 _WEIGHT_SET_MEMBERS: dict[WeightSet, frozenset[Fraction] | None] = {
     WeightSet.UNRESTRICTED: None,
@@ -424,9 +420,7 @@ def _parse_entry(raw, location: str) -> Fraction:
             return as_rational(raw)
         except ParseError as exc:
             raise ParseError(str(exc), location=location) from exc
-    if isinstance(raw, bool) or isinstance(raw, float):
-        raise ParseError(f"entry must be a rational string or integer, got {raw!r}", location=location)
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     raise ParseError(f"entry must be a rational string or integer, got {raw!r}", location=location)
 

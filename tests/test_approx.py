@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from qlower import (
     DomainError,
     GridSpec,
     HolderFunctionSpec,
-    approximate_continuous,
     build_approximator,
     build_readout,
     build_selector_matrix,
@@ -30,7 +30,7 @@ from qlower import (
     forward_trace,
     serialize,
 )
-from qlower.approx import NOTE_CERTIFIED, NOTE_HEURISTIC, NOTE_USER_M, selector_cap
+from qlower.approx import NOTE_CERTIFIED, NOTE_USER_M, selector_cap
 
 from conftest import forbid_selector_builds
 
@@ -316,6 +316,22 @@ class TestCapacityCap:
             build_approximator(linear_spec(), F(1, 4))
         assert (err.value.required, err.value.cap) == (5, 4)
 
+    def test_unprintable_size_is_reported_by_bit_length(self):
+        # 3^20000 + 1 cells: more decimal digits than str() of an int allows
+        spec = HolderFunctionSpec(lambda x: F(0), 1, F(1, 20000), 3, 1)
+        with pytest.raises(CapacityError) as err:
+            build_approximator(spec, 1)
+        assert err.value.required == "at least 2^31699"
+        assert str(err.value).startswith("readout needs at least 2^31699 cells")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # no limit: every size prints
+        try:
+            with pytest.raises(CapacityError) as err:
+                build_approximator(spec, 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert err.value.required == 3**20000 + 1
+
     def test_over_cap_bundle_is_implicit_only(self, monkeypatch):
         monkeypatch.setenv("QLOWER_CAP", "500")
         bundle = build_approximator(linear_spec(2), F(1, 9))
@@ -404,34 +420,3 @@ class TestDerivedNetwork:
         net = bundle.network
         assert bundle.network is net and built == [bundle.grid]
         assert net.matrices[2].entries == bundle.readout
-
-
-class TestApproximateContinuous:
-    def test_constant_needs_resolution_one(self):
-        bundle = approximate_continuous(lambda x: F(1, 3), 1, F(1, 100))
-        assert bundle.grid.M == 1
-        assert bundle.note == NOTE_HEURISTIC
-
-    def test_heuristic_resolution_near_certified(self):
-        bundle = approximate_continuous(lambda x: float(x[0]), 1, F(1, 10))
-        certified = choose_resolution(1, 1, F(1, 10))
-        assert certified // 2 <= bundle.grid.M <= certified * 2
-
-    def test_override_marks_certificate(self):
-        bundle = approximate_continuous(lambda x: float(x[0]), 1, F(1, 5),
-                                        M_override=3)
-        assert bundle.grid.M == 3 and bundle.note == NOTE_USER_M
-        worst = max(abs(F(i, 400) - evaluate_implicit(bundle, [F(i, 400)]))
-                    for i in range(401))
-        assert worst <= F(1, 4)
-
-    def test_exhausted_search_advises_explicit_resolution(self):
-        steep = lambda x: 0.0 if float(x[0]) < 0.5 else 1.0
-        with pytest.raises(DomainError) as err:
-            approximate_continuous(steep, 1, F(1, 10), max_resolution=8)
-        assert "resolution" in str(err.value)
-
-    def test_determinism(self):
-        a = approximate_continuous(lambda x: float(x[0]) ** 2, 1, F(1, 7), seed=5)
-        b = approximate_continuous(lambda x: float(x[0]) ** 2, 1, F(1, 7), seed=5)
-        assert a.grid == b.grid and a.readout == b.readout

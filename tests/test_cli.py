@@ -50,6 +50,17 @@ class TestBounds:
         assert code == 1
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("d, beta, K", [
+        (1000, 1, 1),        # e^d overflows binary64
+        (1, "1e400", 1),     # beta beyond binary64
+        (1, 1, "1e400"),     # K beyond binary64
+    ])
+    def test_overflow_is_validation_error(self, capsys, d, beta, K):
+        code, out, err = run(capsys, "bounds", "--d", d, "--beta", beta, "--K", K,
+                             "--N", 6, "--m", 1)
+        assert code == 1 and "Traceback" not in err and err.count("\n") == 1
+        assert json.loads(err)["error"] == "DomainError"
+
 
 class TestApprox:
     def test_build_and_implicit_eval(self, capsys, tmp_path):
@@ -129,6 +140,18 @@ class TestApprox:
         error = json.loads(err)
         assert code == 1 and error["error"] == "CapacityError"
         assert (error["required"], error["cap"]) == (5, 4)
+
+    @pytest.mark.parametrize("argv", [
+        ("--d", 1, "--beta", "1/20000", "--K", 3, "--eps", 1),  # 3^20000 + 1 cells
+        ("--d", 100000, "--eps", "1/2"),                         # 3^100000 cells
+    ])
+    def test_unprintable_grid_size_is_capacity_error(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, "approx", "--target", "mean", *argv,
+                           "--out", tmp_path / "mean.json")
+        assert code == 1 and "Traceback" not in err and err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "CapacityError"
+        assert error["required"].startswith("at least 2^")
 
     def test_unknown_target_is_validation_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "approx", "--target", "nope", "--d", 1,
