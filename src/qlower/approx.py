@@ -20,6 +20,7 @@ in the neighbouring cell.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, DomainError
 from .network import ActivationKind, Network, WeightMatrix
@@ -103,6 +104,15 @@ class GridSpec:
         """Smallest corner of cell k, coordinates m_i/(M+1)."""
         base = self.M + 1
         return tuple(Fraction(m, base) for m in self.cell_coords(k))
+
+    def representatives(self) -> Iterator[tuple[int, tuple[Fraction, ...]]]:
+        """Every (k, representative(k)) in index order, axis 1 varying fastest.
+
+        The coordinates are shared Fraction(m, M+1) objects, built once per
+        digit instead of once per cell."""
+        corners = [Fraction(m, self.M + 1) for m in range(self.M + 1)]
+        for k, reversed_point in enumerate(itertools.product(corners, repeat=self.d)):
+            yield k, reversed_point[::-1]
 
 
 _EXACT_BITS = 1 << 16  # largest (K/eps)^r that choose_resolution expands
@@ -239,11 +249,33 @@ def _check_cap(required: int, what: str, unit: str, remedy: str) -> None:
     limit = sys.get_int_max_str_digits()
     if limit and required >= 10**limit:
         size = f"at least 2^{required.bit_length() - 1}"
-    raise CapacityError(
+    raise _over_cap(size, cap, what, unit, remedy)
+
+
+def _over_cap(size, cap: int, what: str, unit: str, remedy: str) -> CapacityError:
+    return CapacityError(
         f"{what} needs {size} {unit}, over the cap of {cap}; {remedy} or raise {CAP_ENV_VAR}",
         required=size,
         cap=cap,
     )
+
+
+def _check_cells(grid: GridSpec) -> None:
+    """_check_cap for the grid's (M+1)^d cells, without computing a size
+    that could not be printed.
+
+    (M+1)^d >= 2^n for n = d*floor(log2(M+1)). When 2^n is already over
+    the cap and has more decimal digits than str() allows, the grid is
+    refused as "at least 2^n" at once: computing (M+1)^d for a hostile d
+    takes seconds (d = 10^7 and M = 2).
+    """
+    remedy = "choose a coarser accuracy"
+    n = grid.d * ((grid.M + 1).bit_length() - 1)
+    limit = sys.get_int_max_str_digits()
+    cap = selector_cap()
+    if limit and n >= cap.bit_length() and n >= (10**limit).bit_length():
+        raise _over_cap(f"at least 2^{n}", cap, "readout", "cells", remedy)
+    _check_cap(grid.cell_count, "readout", "cells", remedy)
 
 
 def selector_fits(grid: GridSpec) -> bool:
@@ -312,8 +344,7 @@ def build_readout(f, grid: GridSpec) -> tuple[Fraction, ...]:
     """
     evaluator = f.evaluator if isinstance(f, HolderFunctionSpec) else f
     out = []
-    for k in range(grid.cell_count):
-        point = grid.representative(k)
+    for k, point in grid.representatives():
         try:
             value = evaluator(point)
         except Exception as exc:
@@ -403,7 +434,7 @@ def build_approximator(
         grid, note = GridSpec(f.d, choose_resolution(f.K, f.beta, eps)), NOTE_CERTIFIED
     else:
         grid, note = GridSpec(f.d, M_override), NOTE_USER_M
-    _check_cap(grid.cell_count, "readout", "cells", "choose a coarser accuracy")
+    _check_cells(grid)
     if not selector_fits(grid):
         note += "; selector left implicit (over the materialization cap)"
     return ApproximatorBundle(grid, eps, build_readout(f, grid), f, note)

@@ -17,10 +17,12 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .approx import (
     ApproximatorBundle,
+    GridSpec,
     HolderFunctionSpec,
+    _check_cap,
     build_approximator,
     bundle_from_network,
-    evaluate_implicit,
+    cell_index,
 )
 from .errors import DimensionError, DomainError
 from .network import ActivationKind, Network, WeightMatrix, WeightSet, evaluate
@@ -193,27 +195,35 @@ def sup_error(
         raise DomainError(f"need at least 2 grid points per axis, got {n_per_axis}")
     bundle = obj if isinstance(obj, ApproximatorBundle) else bundle_from_network(obj)
     evaluator = f.evaluator if isinstance(f, HolderFunctionSpec) else f
-    d = bundle.grid.d
+    grid, readout = bundle.grid, bundle.readout
+    points = n_per_axis ** grid.d + (grid.cell_count if include_representatives else 0)
+    _check_cap(points, "scan", "points", "scan fewer points per axis")
     worst = Fraction(-1)
     argmax: tuple[Fraction, ...] = ()
-    axis = [Fraction(i, n_per_axis - 1) for i in range(n_per_axis)]
 
-    def visit(x: tuple[Fraction, ...]) -> None:
+    def visit(x: tuple[Fraction, ...], k: int) -> None:
         nonlocal worst, argmax
-        diff = abs(as_rational(evaluator(x)) - evaluate_implicit(bundle, x))
+        diff = abs(as_rational(evaluator(x)) - readout[k])
         if diff > worst:
             worst, argmax = diff, x
 
-    for x in itertools.product(axis, repeat=d):
-        visit(x)
+    # A point's cell digit along an axis depends only on that coordinate,
+    # so each axis value is looked up once and a point's cell index is the
+    # sum of its digits' place values (M+1)^(i-1).
+    axis = [Fraction(i, n_per_axis - 1) for i in range(n_per_axis)]
+    line = GridSpec(1, grid.M)
+    digits = [cell_index((v,), line) for v in axis]
+    place = [[m * (grid.M + 1) ** i for m in digits] for i in range(grid.d)]
+    for x, offsets in zip(itertools.product(axis, repeat=grid.d), itertools.product(*place)):
+        visit(x, sum(offsets))
     if include_representatives:
-        for k in range(bundle.grid.cell_count):
-            visit(bundle.grid.representative(k))
+        for k, x in grid.representatives():
+            visit(x, k)
     bound_f = None if bound is None else float(as_rational(bound))
     worst_f = float(worst)
     slack = None
     if isinstance(f, HolderFunctionSpec) and include_representatives:
-        slack = float(f.K) * float(bundle.grid.spacing) ** float(f.beta)
+        slack = float(f.K) * float(grid.spacing) ** float(f.beta)
     return ErrorReport(
         sup_error=worst_f,
         argmax_point=argmax,

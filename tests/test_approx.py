@@ -42,6 +42,11 @@ def linear_spec(d=1):
     return HolderFunctionSpec(lambda x: sum(map(F, x)) / d, d, 1.0, 1.0, 1.0)
 
 
+def asymmetric(x):
+    """(x_1 + 2 x_2 + 3 x_3)^2 on the first len(x) axes: swapping axes changes it."""
+    return sum((i + 1) * F(v) for i, v in enumerate(x)) ** 2
+
+
 class TestChooseResolution:
     @pytest.mark.parametrize("K, beta, eps, expected", [
         (1, 1, "1/10", 10),          # (K/eps)^(1/beta) exactly
@@ -181,6 +186,20 @@ class TestBuilders:
         with pytest.raises(DomainError) as err:
             build_readout(bad, GridSpec(1, 3))
         assert "cell 2" in str(err.value)
+
+    @pytest.mark.parametrize("d, M", [(1, 4), (2, 3), (3, 2)])
+    def test_readout_follows_axis_order(self, d, M):
+        # every built-in target is symmetric in its coordinates; this one is not
+        grid = GridSpec(d, M)
+        readout = build_readout(asymmetric, grid)
+        assert readout == tuple(asymmetric(grid.representative(k))
+                                for k in range(grid.cell_count))
+
+    @pytest.mark.parametrize("d, M", [(1, 1), (1, 4), (2, 3), (3, 2)])
+    def test_representatives_in_index_order(self, d, M):
+        grid = GridSpec(d, M)
+        assert list(grid.representatives()) == [
+            (k, grid.representative(k)) for k in range(grid.cell_count)]
 
 
 class TestBuildApproximator:
@@ -331,6 +350,28 @@ class TestCapacityCap:
         finally:
             sys.set_int_max_str_digits(limit)
         assert err.value.required == 3**20000 + 1
+
+    def test_hostile_dimension_refused_without_counting_cells(self, monkeypatch):
+        # 3^(10^7) cells: (M+1)^d >= 2^(d*floor(log2(M+1))) is already
+        # unprintable, so (M+1)^d, seconds of work, is never computed
+        def refuse(grid):
+            raise AssertionError("cell count computed")
+        monkeypatch.setattr(GridSpec, "cell_count", property(refuse))
+        with pytest.raises(CapacityError) as err:
+            build_approximator(linear_spec(10**7), F(1, 2))
+        assert err.value.required == "at least 2^10000000"
+        assert str(err.value).startswith("readout needs at least 2^10000000 cells")
+
+    @pytest.mark.parametrize("d, required", [
+        (10, 3**10),            # over the cap, printed exactly
+        (5000, 3**5000),        # 2^5000 is printable, so 3^5000 is computed
+        (20000, "at least 2^20000"),
+    ])
+    def test_over_cap_sizes_printed_exactly_when_printable(self, monkeypatch, d, required):
+        monkeypatch.setenv("QLOWER_CAP", "100")
+        with pytest.raises(CapacityError) as err:
+            build_approximator(linear_spec(d), F(1, 2))
+        assert err.value.required == required
 
     def test_over_cap_bundle_is_implicit_only(self, monkeypatch):
         monkeypatch.setenv("QLOWER_CAP", "500")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qlower.approx
 import qlower.harness
 from qlower import evaluate, load_network, random_network, save_network
 from qlower.cli import main
@@ -153,6 +154,14 @@ class TestApprox:
         assert error["error"] == "CapacityError"
         assert error["required"].startswith("at least 2^")
 
+    def test_hostile_dimension_refused_at_once(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(qlower.approx.GridSpec, "cell_count", None)  # never read
+        code, _, err = run(capsys, "approx", "--target", "mean", "--d", 10**7,
+                           "--eps", "1/2", "--out", tmp_path / "mean.json")
+        error = json.loads(err)
+        assert code == 1 and error["error"] == "CapacityError"
+        assert error["required"] == "at least 2^10000000"
+
     def test_unknown_target_is_validation_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "approx", "--target", "nope", "--d", 1,
                            "--eps", "0.1", "--out", tmp_path / "x.json")
@@ -293,6 +302,15 @@ class TestReport:
         code, _, err = run(capsys, "report", "--targets", "wat", "--eps-list",
                            "0.25", "--csv", tmp_path / "r.csv")
         assert code == 1 and json.loads(err)["error"] == "DomainError"
+
+    def test_hostile_scan_size_is_capacity_error(self, capsys, tmp_path):
+        # 10^18 scan points plus 27 representatives: refused before scanning
+        code, _, err = run(capsys, "report", "--targets", "const", "--eps-list", "1/2",
+                           "--dims", 3, "--grid", 1000000, "--csv", tmp_path / "x.csv")
+        error = json.loads(err)
+        assert code == 1 and error["error"] == "CapacityError"
+        assert (error["required"], error["cap"]) == (10**18 + 27, 10**8)
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestErrorContract:

@@ -1,10 +1,15 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import qlower.approx
+import qlower.harness
 from qlower import (
+    ApproximatorBundle,
+    CapacityError,
     DimensionError,
     DomainError,
     HolderFunctionSpec,
@@ -15,6 +20,7 @@ from qlower import (
     builtin_targets,
     check_holder,
     equivalence_check,
+    evaluate_implicit,
     random_network,
     report_rows,
     sparsity,
@@ -30,6 +36,26 @@ from qlower.harness import CSV_COLUMNS, bundle_stats
 from conftest import forbid_selector_builds
 
 F = Fraction
+
+
+def asymmetric(x):
+    """(x_1 + 2 x_2 + 3 x_3)^2 on the first len(x) axes: swapping axes changes it."""
+    return sum((i + 1) * F(v) for i, v in enumerate(x)) ** 2
+
+
+def plain_scan(bundle, f, n_per_axis):
+    """sup_error's (sup, argmax), one evaluate_implicit per scanned point."""
+    grid = bundle.grid
+    axis = [F(i, n_per_axis - 1) for i in range(n_per_axis)]
+    points = itertools.chain(
+        itertools.product(axis, repeat=grid.d),
+        (grid.representative(k) for k in range(grid.cell_count)))
+    worst, argmax = F(-1), ()
+    for x in points:
+        diff = abs(F(f(x)) - evaluate_implicit(bundle, x))
+        if diff > worst:
+            worst, argmax = diff, x
+    return float(worst), argmax
 
 
 class TestBuiltinTargets:
@@ -119,6 +145,63 @@ class TestSupError:
         spec = builtin_targets(1)["mean"]
         with pytest.raises(DomainError):
             sup_error(tampered_net, spec, bound=F(1, 4))
+
+    # n = 2; n - 1 a multiple of M + 1 (points exactly on thresholds); n unrelated to M
+    @pytest.mark.parametrize("d, M, n", [
+        (1, 4, 2), (1, 4, 11), (1, 4, 8),
+        (2, 3, 2), (2, 3, 9), (2, 3, 6),
+        (3, 2, 2), (3, 2, 7), (3, 2, 5),
+    ])
+    @pytest.mark.parametrize("f", [asymmetric, lambda x: F(1, 2)], ids=["asymmetric", "ties"])
+    def test_matches_plain_per_point_scan(self, d, M, n, f):
+        bundle = build_approximator(HolderFunctionSpec(f, d, 1, 36, 36), 1, M_override=M)
+        report = sup_error(bundle, f, n_per_axis=n)
+        assert (report.sup_error, report.argmax_point) == plain_scan(bundle, f, n)
+
+    def test_changed_readout_entry_reported_at_its_representative(self):
+        grid = GridSpec(2, 3)
+        readout = [F(asymmetric(grid.representative(k))) for k in range(grid.cell_count)]
+        k = grid.cell_index_of((2, 1))
+        readout[k] += 100
+        bundle = ApproximatorBundle(grid, None, tuple(readout), None, "hand-built")
+        # no scanned point of 4 per axis is a corner of cell (2, 1), so only
+        # the representative itself is off by exactly 100
+        report = sup_error(bundle, asymmetric, n_per_axis=4)
+        assert report.sup_error == 100.0
+        assert report.argmax_point == (F(1, 2), F(1, 4))
+
+    def test_scan_looks_up_each_axis_value_once(self, monkeypatch):
+        lookups = []
+        real = qlower.approx.cell_index
+
+        def counting(x, grid):
+            lookups.append(x)
+            return real(x, grid)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate_implicit called")
+
+        for module in (qlower.approx, qlower.harness):
+            monkeypatch.setattr(module, "cell_index", counting, raising=False)
+            monkeypatch.setattr(module, "evaluate_implicit", refuse, raising=False)
+        spec = builtin_targets(2)["mean"]
+        bundle = build_approximator(spec, F(1, 4))
+        sup_error(bundle, spec, n_per_axis=21)
+        assert len(lookups) == 21
+
+    def test_scan_over_cap_fails_before_scanning(self, monkeypatch):
+        spec = builtin_targets(2)["mean"]
+        bundle = build_approximator(spec, F(1, 4))  # M = 4, 25 cells
+        monkeypatch.setattr(qlower.harness, "GridSpec", None)  # never reached
+        monkeypatch.setenv("QLOWER_CAP", "145")
+        with pytest.raises(CapacityError) as err:
+            sup_error(bundle, spec, n_per_axis=11)
+        assert (err.value.required, err.value.cap) == (11**2 + 25, 145)
+        assert str(err.value).startswith("scan needs 146 points")
+        # without the representatives the same scan fits
+        monkeypatch.undo()
+        monkeypatch.setenv("QLOWER_CAP", "121")
+        sup_error(bundle, spec, n_per_axis=11, include_representatives=False)
 
 
 class TestEquivalenceCheck:
