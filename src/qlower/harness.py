@@ -189,7 +189,8 @@ def sup_error(
     are computed in exact arithmetic (target values taken at their exact
     binary64 value when the evaluator returns floats) and reduced to a
     float only at the end. When a bound is given, ``passed`` records
-    whether the measured sup stayed within it.
+    whether the measured sup stayed within it. A scan of more points
+    than QLOWER_CAP raises CapacityError before it starts.
     """
     if n_per_axis < 2:
         raise DomainError(f"need at least 2 grid points per axis, got {n_per_axis}")
