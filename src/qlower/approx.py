@@ -13,9 +13,8 @@ cell m along an axis is [m/(M+1), (m+1)/(M+1)) (the last cell closes at
 m_i/(M+1). Cells are indexed k = sum_i m_i (M+1)^(i-1).
 
 Boundary semantics: points exactly on a threshold belong to the upper
-cell. Exact rational evaluation honours this always; 64-bit evaluation
-of the materialized network may land inputs within 1 ulp of a threshold
-in the neighbouring cell.
+cell. Evaluation honours this in both modes, because float mode only
+rounds the exact result to binary64.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, DomainError
-from .network import ActivationKind, Network, WeightMatrix
+from .network import ActivationKind, Network, WeightMatrix, _check_mode, _in_mode
 from .rationals import RationalLike, as_rational, format_rational
 
 DEFAULT_SELECTOR_CAP = 10**8
@@ -443,16 +442,12 @@ def build_approximator(
 def evaluate_implicit(bundle: ApproximatorBundle, x: Sequence[RationalLike], mode: str = "exact"):
     """Look up the readout value of x's cell without the selector matrix.
 
-    Agrees exactly with evaluating the materialized network in exact
-    mode. The cell is always resolved by exact comparison on the given
-    coordinates; float mode only converts the result.
+    Agrees with evaluating the materialized network in either mode. The
+    cell is always resolved by exact comparison on the given coordinates;
+    float mode rounds the readout value as ``evaluate`` does.
     """
-    value = bundle.readout[cell_index(x, bundle.grid)]
-    if mode == "float":
-        return float(value)
-    if mode != "exact":
-        raise DomainError(f"mode must be 'exact' or 'float', got {mode!r}")
-    return value
+    _check_mode(mode)
+    return _in_mode((bundle.readout[cell_index(x, bundle.grid)],), mode)[0]
 
 
 def _require_rows(name: str, mat: WeightMatrix, expected: Callable) -> None:

@@ -284,7 +284,12 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_report(args) -> int:
-    dims = [int(tok) for tok in _split_list(args.dims)]
+    dims = []
+    for tok in _split_list(args.dims):
+        try:
+            dims.append(int(tok))
+        except ValueError:
+            raise DomainError(f"dimension must be an integer, got {tok!r}") from None
     eps_list = [as_rational(tok) for tok in _split_list(args.eps_list)]
     if not dims or not eps_list:
         raise DomainError("need at least one dimension and one epsilon")
@@ -320,7 +325,7 @@ def _add_mode_flags(p: argparse.ArgumentParser) -> None:
     group.add_argument("--exact", action="store_true",
                        help="exact rational arithmetic (default)")
     group.add_argument("--float", dest="float_mode", action="store_true",
-                       help="64-bit arithmetic")
+                       help="the exact result rounded to 64-bit floats")
 
 
 def build_parser() -> argparse.ArgumentParser:

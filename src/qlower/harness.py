@@ -28,7 +28,6 @@ from .errors import DimensionError, DomainError
 from .network import ActivationKind, Network, WeightMatrix, WeightSet, evaluate
 from .rationals import RationalLike, as_rational, format_rational
 
-SUP_NOTE = "maximum over a finite grid; a lower bound on the true sup"
 HOLDER_CHECK_PAIRS = 10_000
 
 # Slack for spot checks that must run in binary64 (irrational targets or
@@ -142,13 +141,15 @@ def builtin_targets(d: int) -> dict[str, HolderFunctionSpec]:
 
 @dataclass(frozen=True)
 class ErrorReport:
+    """``sup_error`` is a maximum over finitely many scanned points, so a
+    lower bound on the true sup."""
+
     sup_error: float
     argmax_point: tuple[Fraction, ...]
     theoretical_bound: Optional[float]
     grid_points_per_axis: int
     passed: Optional[bool]
     holder_slack: Optional[float] = None
-    note: str = SUP_NOTE
 
     @property
     def sup_upper_bound(self) -> Optional[float]:
@@ -161,18 +162,6 @@ class ErrorReport:
         if self.holder_slack is None:
             return None
         return self.sup_error + self.holder_slack
-
-    def to_dict(self) -> dict:
-        return {
-            "sup_error": self.sup_error,
-            "argmax_point": [format_rational(v) for v in self.argmax_point],
-            "theoretical_bound": self.theoretical_bound,
-            "grid_points_per_axis": self.grid_points_per_axis,
-            "passed": self.passed,
-            "holder_slack": self.holder_slack,
-            "sup_upper_bound": self.sup_upper_bound,
-            "note": self.note,
-        }
 
 
 def sup_error(
@@ -273,9 +262,11 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Compare two networks on seeded dyadic points of the unit cube.
 
-    Exact mode demands exactly equal outputs (the default tolerance 0);
-    float mode compares binary64 outputs against the tolerance. Sampling
-    cannot prove equivalence, only exhibit a divergence.
+    Outputs differ where they are more than ``tolerance`` apart, which
+    must be finite and non-negative; exact mode with the default 0
+    demands equal outputs. Float mode compares the exact outputs rounded
+    to binary64. Sampling cannot prove equivalence, only exhibit a
+    divergence.
     """
     if a.input_dim != b.input_dim:
         raise DimensionError(
@@ -285,6 +276,8 @@ def equivalence_check(
             f"output dims differ: {a.output_dim} vs {b.output_dim}")
     if n_samples < 1:
         raise DomainError(f"need at least 1 sample, got {n_samples}")
+    if not math.isfinite(tolerance) or tolerance < 0:
+        raise DomainError(f"tolerance must be finite and non-negative, got {tolerance}")
     rng = random.Random(seed)
     worst = 0.0
     first: Optional[dict] = None

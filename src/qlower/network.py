@@ -21,14 +21,18 @@ of the units it merged before its own rows are compared. The lowering
 passes duplicate every hidden unit, so a lowered net shrinks back to
 about its source's widths; a net with no repeated row is evaluated as it
 is. Results are expanded back to one value per unit at the output and in
-``forward_trace``, so the plan changes no value. Float mode evaluates the
-matrices as they are, because summing columns would change binary64
-rounding.
+``forward_trace``, so the plan changes no value.
+
+Float mode runs the same exact evaluation and rounds each returned value
+to the nearest binary64 (values beyond its range round to an infinity),
+so it agrees with exact mode at every threshold.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -119,10 +123,6 @@ class WeightMatrix:
     def nonzero_count(self) -> int:
         return sum(1 for e in self.entries if e)
 
-    @cached_property
-    def _float_rows(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(float(e) for e in self.row(r)) for r in range(self.rows))
-
 
 @dataclass(frozen=True)
 class Network:
@@ -193,14 +193,12 @@ class _LayerPlan(NamedTuple):
 
     ``rows`` are the distinct integer rows of the matrix times ``scale``
     (the lcm of its denominators), read over the distinct units of the
-    previous layer: as ``(column, weight)`` pairs of the nonzero entries
-    when ``sparse``, else as dense tuples. ``gather[u]`` is the index of
-    unit u's row, and ``gather`` is None when no row repeats.
+    previous layer. ``gather[u]`` is the index of unit u's row, and
+    ``gather`` is None when no row repeats.
     """
 
     scale: int
-    rows: tuple
-    sparse: bool
+    rows: tuple[tuple[int, ...], ...]
     gather: tuple[int, ...] | None
 
 
@@ -225,11 +223,7 @@ def _plan_layer(mat: WeightMatrix, merged: tuple[int, ...] | None) -> _LayerPlan
     index: dict[tuple[int, ...], int] = {}
     gather = tuple(index.setdefault(row, len(index)) for row in rows)
     distinct = tuple(index)
-    nnz = sum(len(row) - row.count(0) for row in distinct)
-    sparse = nnz * 2 < len(distinct) * len(distinct[0])
-    if sparse:
-        distinct = tuple(tuple((j, w) for j, w in enumerate(row) if w) for row in distinct)
-    return _LayerPlan(scale, distinct, sparse, None if len(distinct) == mat.rows else gather)
+    return _LayerPlan(scale, distinct, None if len(distinct) == mat.rows else gather)
 
 
 @dataclass(frozen=True)
@@ -256,15 +250,26 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"mode must be 'exact' or 'float', got {mode!r}")
 
 
-def _coerce_input(net: Network, x: Sequence[RationalLike], mode: str):
+def _in_mode(values: Sequence[Fraction], mode: EvalMode) -> tuple:
+    """Exact values as returned in ``mode``: as they are, or each rounded
+    to the nearest binary64 (to an infinity beyond its range)."""
+    return tuple(values) if mode == "exact" else tuple(map(_round_binary64, values))
+
+
+def _round_binary64(value: Fraction) -> float:
+    try:
+        return float(value)  # int / int: correctly rounded
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _coerce_input(net: Network, x: Sequence[RationalLike]) -> list[Fraction]:
     if len(x) != net.input_dim:
         raise DimensionError(
             f"input has {len(x)} coordinates, network expects {net.input_dim}",
             layer=0,
         )
-    if mode == "exact":
-        return [as_rational(v) for v in x]
-    return [float(v) for v in x]
+    return [as_rational(v) for v in x]
 
 
 def _forward_exact(net: Network, xs: list[Fraction], want_trace: bool):
@@ -278,10 +283,7 @@ def _forward_exact(net: Network, xs: list[Fraction], want_trace: bool):
     last = len(plan) - 1
     trace: list[list[Fraction]] = []
     for i, layer in enumerate(plan):
-        if layer.sparse:
-            nums = [sum(w * nums[j] for j, w in row) for row in layer.rows]
-        else:
-            nums = [sum(w * v for w, v in zip(row, nums) if w) for row in layer.rows]
+        nums = [sum(map(operator.mul, row, nums)) for row in layer.rows]
         den *= layer.scale
         if i < last:
             if kind is ActivationKind.INDICATOR01:
@@ -300,57 +302,33 @@ def _expand(values: list, gather: tuple[int, ...] | None) -> list:
     return values if gather is None else [values[g] for g in gather]
 
 
-def _forward_float(net: Network, xs: list[float], want_trace: bool):
-    vals = [1.0] + xs
-    kind = net.activation
-    last = len(net.matrices) - 1
-    trace: list[list[float]] = []
-    for i, mat in enumerate(net.matrices):
-        vals = [sum(w * v for w, v in zip(row, vals)) for row in mat._float_rows]
-        if i < last:
-            if kind is ActivationKind.INDICATOR01:
-                vals = [1.0 if 0.0 <= v < 1.0 else 0.0 for v in vals]
-            else:
-                vals = [v if v > 0.0 else 0.0 for v in vals]
-            if want_trace:
-                trace.append(list(vals))
-    scale = float(net.output_scale)
-    return [v * scale for v in vals], trace
-
-
 def evaluate(net: Network, x: Sequence[RationalLike], mode: EvalMode = "exact"):
     """Evaluate the network at x; scalar when the output has one unit.
 
-    Exact mode does all arithmetic in rationals (floats in x are taken at
-    their exact binary value). Float mode uses 64-bit arithmetic with
-    round-to-nearest; near activation thresholds of the indicator the two
-    modes may disagree, and only exact mode honours the half-open
-    interval semantics at boundary points. Inputs outside [0,1]^d are
-    evaluated by the same formula, but the lowering and approximation
-    guarantees elsewhere in this package only cover the unit cube.
+    All arithmetic is exact, in rationals (floats in x are taken at their
+    exact binary value), so the half-open indicator threshold holds at
+    every boundary point. Float mode returns that exact result rounded to
+    the nearest binary64, an infinity where it is beyond binary64's range.
+    Inputs outside [0,1]^d are evaluated by the same formula, but the
+    lowering and approximation guarantees elsewhere in this package only
+    cover the unit cube.
     """
     _check_mode(mode)
-    xs = _coerce_input(net, x, mode)
-    if mode == "exact":
-        out, _ = _forward_exact(net, xs, want_trace=False)
-    else:
-        out, _ = _forward_float(net, xs, want_trace=False)
-    return out[0] if len(out) == 1 else tuple(out)
+    out, _ = _forward_exact(net, _coerce_input(net, x), want_trace=False)
+    out = _in_mode(out, mode)
+    return out[0] if len(out) == 1 else out
 
 
 def forward_trace(net: Network, x: Sequence[RationalLike], mode: EvalMode = "exact"):
     """Return (post-activation tuples per hidden layer, output).
 
     The output collapses to a scalar for one-unit outputs, as in
-    ``evaluate``.
+    ``evaluate``; float mode rounds trace and output alike.
     """
     _check_mode(mode)
-    xs = _coerce_input(net, x, mode)
-    if mode == "exact":
-        out, trace = _forward_exact(net, xs, want_trace=True)
-    else:
-        out, trace = _forward_float(net, xs, want_trace=True)
-    return [tuple(v) for v in trace], (out[0] if len(out) == 1 else tuple(out))
+    out, trace = _forward_exact(net, _coerce_input(net, x), want_trace=True)
+    out = _in_mode(out, mode)
+    return [_in_mode(t, mode) for t in trace], (out[0] if len(out) == 1 else out)
 
 
 def validate(net: Network, weight_set: WeightSet) -> ValidationReport:

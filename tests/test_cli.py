@@ -237,6 +237,19 @@ class TestLowerRescaleEquiv:
         assert payload["first_divergence"] is not None
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_nan_tolerance_is_validation_error(self, capsys, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_network(random_network(random.Random(1), 2, 2, 4), a)
+        save_network(random_network(random.Random(2), 2, 2, 4), b)
+        code, out, err = run(capsys, "equiv", "--a", a, "--b", b)
+        assert code == 1 and not json.loads(out)["equivalent"]
+        for tolerance in ("nan", "inf", "-1"):
+            code, out, err = run(capsys, "equiv", "--a", a, "--b", b,
+                                 "--tolerance", tolerance)
+            assert code == 1 and out == ""
+            error = json.loads(err)
+            assert error["error"] == "DomainError" and "tolerance" in error["message"]
+
 
 class TestEval:
     def test_rational_coordinates(self, capsys, source_net):
@@ -311,6 +324,17 @@ class TestReport:
         assert code == 1 and error["error"] == "CapacityError"
         assert (error["required"], error["cap"]) == (10**18 + 27, 10**8)
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("token", ["x", "1.5"])
+    def test_non_integer_dimension_is_validation_error(self, capsys, tmp_path, token):
+        code, out, err = run(capsys, "report", "--targets", "const", "--eps-list", "1/2",
+                             "--dims", f"1,{token}", "--csv", tmp_path / "r.csv")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "DomainError" and repr(token) in error["message"]
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestErrorContract:

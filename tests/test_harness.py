@@ -249,6 +249,16 @@ class TestEquivalenceCheck:
         report = equivalence_check(net, net, mode="float", tolerance=1e-9)
         assert report.equivalent
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1, -1e-300])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        # nan would certify any pair (no diff is > nan), and a negative
+        # tolerance would make a net differ from itself.
+        a = random_network(random.Random(1), 2, 2, 4)
+        b = random_network(random.Random(2), 2, 2, 4)
+        for other, mode in ((a, "exact"), (b, "exact"), (b, "float")):
+            with pytest.raises(DomainError, match="tolerance"):
+                equivalence_check(a, other, mode=mode, tolerance=tolerance)
+
 
 class TestRandomNetwork:
     def test_deterministic_given_seed(self):

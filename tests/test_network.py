@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -18,8 +19,10 @@ from qlower import (
     WeightSet,
     binarize,
     build_approximator,
+    builtin_target,
     deserialize,
     evaluate,
+    evaluate_implicit,
     forward_trace,
     load_network,
     network_from_dict,
@@ -195,13 +198,52 @@ class TestActivations:
 
 class TestModes:
     def test_exact_and_float_agree_on_dyadic_inputs(self):
+        # Float mode is the exact result rounded, so the two agree on
+        # non-dyadic inputs and on lowered nets as well.
         rng = random.Random(11)
         for _ in range(25):
             net = random_network(rng, rng.randint(1, 3), rng.randint(0, 3), 5)
-            x = [Fraction(rng.randrange(257), 256) for _ in range(net.input_dim)]
-            exact = evaluate(net, x)
-            approx = evaluate(net, x, mode="float")
-            assert float(exact) == approx
+            lowered, _ = binarize(ternarize(net)[0])
+            dyadic = [Fraction(rng.randrange(257), 256) for _ in range(net.input_dim)]
+            other = [Fraction(rng.randrange(301), 300) for _ in range(net.input_dim)]
+            for n in (net, lowered):
+                for x in (dyadic, other):
+                    exact = evaluate(n, x)
+                    approx = evaluate(n, x, mode="float")
+                    assert float(exact) == approx
+
+    def test_float_mode_follows_half_open_threshold(self):
+        # x lies just below the threshold 1/3 of the mean d=1 approximator
+        # at M=2, so in cell 0, whose readout is 0; float(x) does not.
+        bundle = build_approximator(builtin_target("mean", 1), Fraction(1, 2), M_override=2)
+        net = bundle.network
+        x = [Fraction(1, 3) - Fraction(1, 10**30)]
+        exact_trace, exact = forward_trace(net, x)
+        assert exact == 0 and evaluate_implicit(bundle, x) == 0
+        assert evaluate(net, x, "float") == float(exact)
+        trace, out = forward_trace(net, x, "float")
+        assert out == float(exact)
+        assert trace == [tuple(map(float, t)) for t in exact_trace]
+        assert evaluate_implicit(bundle, x, "float") == float(exact)
+        assert type(out) is float and type(evaluate_implicit(bundle, x, "float")) is float
+
+    def test_float_mode_coerces_inputs_as_exact_mode(self, example_net):
+        assert evaluate(example_net, ["1/3"], "float") == float(evaluate(example_net, ["1/3"]))
+        for bad in ("abc", float("nan")):
+            with pytest.raises(ParseError):
+                evaluate(example_net, [bad], "float")
+            with pytest.raises(ParseError):
+                forward_trace(example_net, [bad], "float")
+
+    def test_float_mode_overflow_rounds_to_infinity(self):
+        double = relu_net(1, [[0, 2]], [[1]])
+        assert evaluate(double, [1e308], "float") == math.inf
+        assert forward_trace(double, [1e308], "float") == ([(math.inf,)], math.inf)
+        assert evaluate(double, [10**400], "float") == math.inf
+        assert evaluate(relu_net(1, [[0, -2]]), [1e308], "float") == -math.inf
+        # relu(2x) - 2 relu(x) is 0 although relu(2x) is beyond binary64
+        cancel = relu_net(1, [[0, 2], [0, 1]], [[1, -2]])
+        assert evaluate(cancel, [1e308], "float") == 0.0
 
     def test_bad_mode_rejected(self, example_net):
         with pytest.raises(Exception):
