@@ -148,13 +148,14 @@ def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike
     # (K/eps)^r is too large to expand: seed from the binary64 root and
     # decide the boundary from logarithms. N >= K/eps as beta <= 1, so
     # capping q keeps float(q) finite and every q >= 2^(_SEED_BITS+1)
-    # still above the limit.
-    log2_n = math.log2(min(q, 2 << _SEED_BITS)) / float(beta_)
+    # still above the limit. A beta that rounds to 0.0 puts N beyond any limit.
+    beta_f = float(beta_)
+    log2_n = math.log2(min(q, 2 << _SEED_BITS)) / beta_f if beta_f else math.inf
     if log2_n > _SEED_BITS:
         raise DomainError(
             f"resolution too large to compute exactly: (K/eps)^(1/beta) is above "
             f"2^{_SEED_BITS} and (K/eps)^r has over {_EXACT_BITS} bits for "
-            f"beta = p/r = {float(beta_)}")
+            f"beta = p/r {f'= {beta_f}' if beta_f else 'below 2^-1074'}")
     n = math.ceil(2.0 ** log2_n)  # the binary64 root, off by at most a few
     while not _reaches(n, q, beta_):
         n += 1
@@ -234,47 +235,31 @@ def build_threshold_matrix(grid: GridSpec) -> WeightMatrix:
     return WeightMatrix.from_rows(rows)
 
 
-def _check_cap(required: int, what: str, unit: str, remedy: str) -> None:
-    """Raise CapacityError when `what` needs more `unit`s than the cap.
+def _check_cap(what: str, unit: str, remedy: str, base: int, exp: int = 1) -> None:
+    """Raise CapacityError when `what` needs base**exp `unit`s, more than the cap.
 
-    A size with more decimal digits than sys.get_int_max_str_digits()
-    allows cannot be printed, so message and ``required`` then give the
-    power of two it reaches instead.
+    base**exp >= 2^n for n = exp*floor(log2 base). When 2^n already has
+    more decimal digits than sys.get_int_max_str_digits() allows, the
+    size is refused as "at least 2^n" without computing base**exp, which
+    takes seconds for a hostile exponent (3^(10^7) cells). A computed
+    size too long to print is reported by its bit length the same way.
     """
     cap = selector_cap()
-    if required <= cap:
-        return
-    size = required
     limit = sys.get_int_max_str_digits()
-    if limit and required >= 10**limit:
-        size = f"at least 2^{required.bit_length() - 1}"
-    raise _over_cap(size, cap, what, unit, remedy)
-
-
-def _over_cap(size, cap: int, what: str, unit: str, remedy: str) -> CapacityError:
-    return CapacityError(
+    n = exp * (base.bit_length() - 1)
+    if limit and n >= (10**limit).bit_length():
+        size = f"at least 2^{n}"
+    else:
+        size = base**exp
+        if size <= cap:
+            return
+        if limit and size >= 10**limit:
+            size = f"at least 2^{size.bit_length() - 1}"
+    raise CapacityError(
         f"{what} needs {size} {unit}, over the cap of {cap}; {remedy} or raise {CAP_ENV_VAR}",
         required=size,
         cap=cap,
     )
-
-
-def _check_cells(grid: GridSpec) -> None:
-    """_check_cap for the grid's (M+1)^d cells, without computing a size
-    that could not be printed.
-
-    (M+1)^d >= 2^n for n = d*floor(log2(M+1)). When 2^n is already over
-    the cap and has more decimal digits than str() allows, the grid is
-    refused as "at least 2^n" at once: computing (M+1)^d for a hostile d
-    takes seconds (d = 10^7 and M = 2).
-    """
-    remedy = "choose a coarser accuracy"
-    n = grid.d * ((grid.M + 1).bit_length() - 1)
-    limit = sys.get_int_max_str_digits()
-    cap = selector_cap()
-    if limit and n >= cap.bit_length() and n >= (10**limit).bit_length():
-        raise _over_cap(f"at least 2^{n}", cap, "readout", "cells", remedy)
-    _check_cap(grid.cell_count, "readout", "cells", remedy)
 
 
 def selector_fits(grid: GridSpec) -> bool:
@@ -300,7 +285,7 @@ def build_selector_matrix(grid: GridSpec) -> WeightMatrix:
     """
     cells = grid.cell_count
     width = grid.d * grid.M + 1
-    _check_cap(cells * width, "selector matrix", "entries", "evaluate implicitly instead")
+    _check_cap("selector matrix", "entries", "evaluate implicitly instead", cells * width)
     tail = tuple(map(Fraction, _selector_tail(grid)))
     entries: list[Fraction] = []
     for r in range(cells):
@@ -433,7 +418,7 @@ def build_approximator(
         grid, note = GridSpec(f.d, choose_resolution(f.K, f.beta, eps)), NOTE_CERTIFIED
     else:
         grid, note = GridSpec(f.d, M_override), NOTE_USER_M
-    _check_cells(grid)
+    _check_cap("readout", "cells", "choose a coarser accuracy", grid.M + 1, grid.d)
     if not selector_fits(grid):
         note += "; selector left implicit (over the materialization cap)"
     return ApproximatorBundle(grid, eps, build_readout(f, grid), f, note)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .approx import (
@@ -36,7 +38,7 @@ from .lowering import (
     theorem_bounds,
     to_unit_weights,
 )
-from .network import WeightSet, evaluate, load_network, save_network, validate
+from .network import WeightSet, _round_binary64, evaluate, load_network, save_network, validate
 from .rationals import as_rational, format_rational
 
 
@@ -70,7 +72,7 @@ def _split_list(text: str) -> list[str]:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(payload, fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -78,7 +80,7 @@ def _emit(args, payload: dict, pretty_lines: Sequence[str]) -> None:
     if args.pretty:
         print("\n".join(pretty_lines))
     else:
-        print(json.dumps(payload))
+        print(json.dumps(payload, allow_nan=False))
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -86,7 +88,7 @@ def _emit_error(exc: BaseException) -> None:
     for field in ("required", "cap", "layer", "location"):
         if getattr(exc, field, None) is not None:
             payload[field] = getattr(exc, field)
-    print(json.dumps(payload), file=sys.stderr)
+    print(json.dumps(payload, allow_nan=False), file=sys.stderr)
 
 
 def _default_cert_path(out_path: str) -> str:
@@ -104,6 +106,13 @@ def _mode(args) -> str:
 
 
 def cmd_approx(args) -> int:
+    # stdout and the certificate record these values as binary64.
+    for flag in ("beta", "K", "F", "eps"):
+        value = getattr(args, flag)
+        if value and _round_binary64(value) in (0.0, math.inf, -math.inf):
+            raise DomainError(
+                f"--{flag} rounds to {_round_binary64(value)} in binary64, "
+                f"so it cannot be recorded; give a value within the binary64 range")
     spec = builtin_spec(args.target, args.d)
     overridden = args.beta is not None or args.K is not None or args.F is not None
     if overridden:
@@ -226,7 +235,8 @@ def _render_value(value, mode: str):
         return [_render_value(v, mode) for v in value]
     if mode == "exact":
         return format_rational(value)
-    return float(value)
+    value = float(value)
+    return value if math.isfinite(value) else str(value)  # "inf" or "-inf": JSON has none
 
 
 def cmd_eval(args) -> int:
@@ -252,7 +262,8 @@ def cmd_equiv(args) -> int:
     report = equivalence_check(
         a, b, n_samples=args.samples, seed=args.seed, mode=_mode(args),
         tolerance=args.tolerance)
-    payload = {"command": "equiv", **report.to_dict()}
+    payload = {"command": "equiv", **asdict(report),
+               "max_abs_diff": _render_value(report.max_abs_diff, "float")}
     _emit(args, payload, [
         f"{report.samples} samples ({report.mode} mode): "
         f"{'equivalent' if report.equivalent else 'DIFFER'}, "

@@ -25,7 +25,8 @@ from .approx import (
     cell_index,
 )
 from .errors import DimensionError, DomainError
-from .network import ActivationKind, Network, WeightMatrix, WeightSet, evaluate
+from .network import (
+    ActivationKind, Network, WeightMatrix, WeightSet, _round_binary64, evaluate)
 from .rationals import RationalLike, as_rational, format_rational
 
 HOLDER_CHECK_PAIRS = 10_000
@@ -147,7 +148,6 @@ class ErrorReport:
     sup_error: float
     argmax_point: tuple[Fraction, ...]
     theoretical_bound: Optional[float]
-    grid_points_per_axis: int
     passed: Optional[bool]
     holder_slack: Optional[float] = None
 
@@ -187,7 +187,7 @@ def sup_error(
     evaluator = f.evaluator if isinstance(f, HolderFunctionSpec) else f
     grid, readout = bundle.grid, bundle.readout
     points = n_per_axis ** grid.d + (grid.cell_count if include_representatives else 0)
-    _check_cap(points, "scan", "points", "scan fewer points per axis")
+    _check_cap("scan", "points", "scan fewer points per axis", points)
     worst = Fraction(-1)
     argmax: tuple[Fraction, ...] = ()
 
@@ -218,7 +218,6 @@ def sup_error(
         sup_error=worst_f,
         argmax_point=argmax,
         theoretical_bound=bound_f,
-        grid_points_per_axis=n_per_axis,
         passed=None if bound_f is None else worst_f <= bound_f,
         holder_slack=slack,
     )
@@ -236,16 +235,6 @@ class EquivalenceReport:
     equivalent: bool
     max_abs_diff: float
     first_divergence: Optional[dict]
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "samples": self.samples,
-            "mode": self.mode,
-            "equivalent": self.equivalent,
-            "max_abs_diff": self.max_abs_diff,
-            "first_divergence": self.first_divergence,
-        }
 
 
 def _as_tuple(value) -> tuple:
@@ -286,8 +275,7 @@ def equivalence_check(
         va = _as_tuple(evaluate(a, x, mode))
         vb = _as_tuple(evaluate(b, x, mode))
         diff = max(abs(p - q) for p, q in zip(va, vb))
-        if float(diff) > worst:
-            worst = float(diff)
+        worst = max(worst, _round_binary64(diff))
         if first is None and diff > tolerance:
             first = {
                 "point": [format_rational(v) for v in x],

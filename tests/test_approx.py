@@ -77,6 +77,7 @@ class TestChooseResolution:
     @pytest.mark.parametrize("K, beta, eps", [
         (0, 1, 1), (-1, 1, 1), (1, 0, 1), (1, 2, 1), (1, 1, 0), (1, 1, -1),
         (2, 0.01, 1),  # 2^100, with a denominator too large for exact powers
+        (1, "1e-400", "1/2"),  # beta rounds to 0.0 in binary64
     ])
     def test_rejections(self, K, beta, eps):
         with pytest.raises(DomainError):

@@ -6,7 +6,8 @@ import pytest
 
 import qlower.approx
 import qlower.harness
-from qlower import evaluate, load_network, random_network, save_network
+from qlower import (
+    ActivationKind, Network, WeightMatrix, evaluate, load_network, random_network, save_network)
 from qlower.cli import main
 
 F = Fraction
@@ -21,6 +22,21 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses the Infinity and NaN extensions."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def affine_net(weight):
+    """x -> relu(weight * x) as a one-layer network."""
+    hidden = WeightMatrix.from_rows([[0, weight]])
+    return Network(1, (hidden, WeightMatrix.from_rows([[1]])), ActivationKind.RELU)
 
 
 @pytest.fixture
@@ -162,6 +178,22 @@ class TestApprox:
         assert code == 1 and error["error"] == "CapacityError"
         assert error["required"] == "at least 2^10000000"
 
+    @pytest.mark.parametrize("argv", [
+        ("--K", "1e400", "--M", 1),
+        ("--F", "1e400"),
+        ("--beta", "1e-400"),
+        ("--eps", "1e-400"),
+        ("--eps", "1e400"),
+    ])
+    def test_value_beyond_binary64_refused_before_writing(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, "approx", "--target", "root", "--d", 1,
+                             "--eps", "1/2", *argv, "--out", tmp_path / "x.json")
+        assert code == 1 and out == ""
+        assert "Traceback" not in err and err.count("\n") == 1
+        error = strict_json(err)
+        assert error["error"] == "DomainError" and "binary64" in error["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_target_is_validation_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "approx", "--target", "nope", "--d", 1,
                            "--eps", "0.1", "--out", tmp_path / "x.json")
@@ -237,6 +269,16 @@ class TestLowerRescaleEquiv:
         assert payload["first_divergence"] is not None
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_difference_beyond_binary64_prints_inf(self, capsys, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_network(affine_net(10**400), a)
+        save_network(affine_net(0), b)
+        code, out, err = run(capsys, "equiv", "--a", a, "--b", b, "--samples", 3)
+        assert code == 1 and "Traceback" not in err
+        payload = strict_json(out)
+        assert not payload["equivalent"] and payload["max_abs_diff"] == "inf"
+        assert strict_json(err)["error"] == "DomainError"
+
     def test_nan_tolerance_is_validation_error(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_network(random_network(random.Random(1), 2, 2, 4), a)
@@ -267,6 +309,12 @@ class TestEval:
                                     "--x", "1/2,1/2", "--float")
         assert code == 0
         assert payload["value"] == evaluate(net, (0.5, 0.5), mode="float")
+
+    def test_float_overflow_prints_inf_string(self, capsys, tmp_path):
+        path = tmp_path / "relu2x.json"
+        save_network(affine_net(2), path)
+        code, out, _ = run(capsys, "eval", "--net", path, "--x", "1e308", "--float")
+        assert code == 0 and strict_json(out)["value"] == "inf"
 
     def test_pretty_prints_bare_value(self, capsys, tmp_path):
         out = tmp_path / "mean.json"

@@ -8,11 +8,14 @@ import pytest
 import qlower.approx
 import qlower.harness
 from qlower import (
+    ActivationKind,
     ApproximatorBundle,
     CapacityError,
     DimensionError,
     DomainError,
     HolderFunctionSpec,
+    Network,
+    WeightMatrix,
     WeightSet,
     build_approximator,
     build_selector_matrix,
@@ -248,6 +251,15 @@ class TestEquivalenceCheck:
         net = random_network(random.Random(6), 2, 2, 4)
         report = equivalence_check(net, net, mode="float", tolerance=1e-9)
         assert report.equivalent
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_difference_beyond_binary64_is_infinite(self, mode):
+        # x -> 10^400 x against x -> 0: the exact difference has no binary64
+        # value, and rounds to inf as float mode rounds an output.
+        big = Network(1, (WeightMatrix.from_rows([[0, 10**400]]),), ActivationKind.RELU)
+        zero = Network(1, (WeightMatrix.from_rows([[0, 0]]),), ActivationKind.RELU)
+        report = equivalence_check(big, zero, n_samples=3, mode=mode)
+        assert not report.equivalent and report.max_abs_diff == math.inf
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1, -1e-300])
     def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
