@@ -30,7 +30,8 @@ from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, DomainError
-from .network import ActivationKind, Network, WeightMatrix, _check_mode, _in_mode
+from .network import (
+    ActivationKind, Network, WeightMatrix, _check_mode, _in_mode, _round_binary64)
 from .rationals import RationalLike, as_rational, format_rational
 
 DEFAULT_SELECTOR_CAP = 10**8
@@ -300,7 +301,8 @@ class HolderFunctionSpec:
 
     The claim is trusted here; the harness spot-verifies it by sampling.
     ``beta``, ``K`` and ``F`` accept any RationalLike and are stored as
-    exact Fractions.
+    exact Fractions. Certificates record them as binary64, so a value
+    that rounds to 0 or infinity raises DomainError.
     """
 
     evaluator: Callable
@@ -318,6 +320,17 @@ class HolderFunctionSpec:
             raise DomainError(f"beta must lie in (0, 1], got {self.beta}")
         if self.K <= 0 or self.F <= 0:
             raise DomainError("K and F must be positive")
+        for name in ("beta", "K", "F"):
+            _check_binary64(name, getattr(self, name))
+
+
+def _check_binary64(name: str, value: Fraction) -> None:
+    """Refuse a positive value that certificates cannot record as binary64."""
+    rounded = _round_binary64(value)
+    if not 0 < rounded < math.inf:
+        raise DomainError(
+            f"{name} rounds to {rounded} in binary64, so it cannot be recorded; "
+            f"give a value within the binary64 range")
 
 
 def build_readout(f, grid: GridSpec) -> tuple[Fraction, ...]:
@@ -409,11 +422,13 @@ def build_approximator(
     certifies the sup-norm error whenever the target really satisfies
     its claimed Hoelder inequality. An explicit M_override skips the
     choice and is recorded in the certificate note. A grid over the cap
-    raises CapacityError before the target is evaluated anywhere.
+    raises CapacityError before the target is evaluated anywhere. An
+    epsilon that rounds to 0 or infinity in binary64 raises DomainError.
     """
     eps = as_rational(epsilon)
     if eps <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
+    _check_binary64("epsilon", eps)
     if M_override is None:
         grid, note = GridSpec(f.d, choose_resolution(f.K, f.beta, eps)), NOTE_CERTIFIED
     else:

@@ -1,9 +1,10 @@
 """Command-line front end for batch use of the toolchain.
 
-Machine-readable JSON goes to stdout (one object per invocation);
---pretty switches to a human rendering. Errors are reported as JSON on
-stderr. Exit codes: 0 success, 1 validation failure, 2 usage error,
-3 I/O error.
+Each subcommand returns one JSON payload, which ``main`` prints to stdout
+(``--pretty`` indents it), and the message of a failed check, if any.
+Errors and failed checks are reported as one JSON line on stderr. Exit
+codes: 0 success, 1 validation or check failure, 2 usage error, 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .approx import (
 )
 from .errors import DomainError, QlowerError
 from .harness import (
-    CSV_COLUMNS,
     builtin_spec,
     builtin_target,
     check_holder,
@@ -38,7 +38,7 @@ from .lowering import (
     theorem_bounds,
     to_unit_weights,
 )
-from .network import WeightSet, _round_binary64, evaluate, load_network, save_network, validate
+from .network import WeightSet, evaluate, load_network, save_network, validate
 from .rationals import as_rational, format_rational
 
 
@@ -76,13 +76,6 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _emit(args, payload: dict, pretty_lines: Sequence[str]) -> None:
-    if args.pretty:
-        print("\n".join(pretty_lines))
-    else:
-        print(json.dumps(payload, allow_nan=False))
-
-
 def _emit_error(exc: BaseException) -> None:
     payload = {"error": type(exc).__name__, "message": str(exc)}
     for field in ("required", "cap", "layer", "location"):
@@ -102,17 +95,11 @@ def _mode(args) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its stdout payload and the message of a failed
+# check (exit 1), or None.
 
 
-def cmd_approx(args) -> int:
-    # stdout and the certificate record these values as binary64.
-    for flag in ("beta", "K", "F", "eps"):
-        value = getattr(args, flag)
-        if value and _round_binary64(value) in (0.0, math.inf, -math.inf):
-            raise DomainError(
-                f"--{flag} rounds to {_round_binary64(value)} in binary64, "
-                f"so it cannot be recorded; give a value within the binary64 range")
+def cmd_approx(args):
     spec = builtin_spec(args.target, args.d)
     overridden = args.beta is not None or args.K is not None or args.F is not None
     if overridden:
@@ -149,23 +136,12 @@ def cmd_approx(args) -> int:
         "network": args.out if materialized else None,
         "certificate": cert_path,
     }
-    _emit(args, payload, [
-        f"target {args.target} on [0,1]^{args.d} "
-        f"(beta={float(spec.beta)}, K={float(spec.K)})",
-        f"M={bundle.grid.M}: {bundle.grid.cell_count} cells, "
-        f"bound {bundle.error_bound} vs eps {float(args.eps)}"
-        f" -> {'certified' if bundle.certified else 'NOT certified'}",
-        f"network: {args.out if materialized else '(not materialized: over the cap)'}",
-        f"certificate: {cert_path}",
-    ])
-    if not bundle.certified:
-        _emit_error(DomainError(
-            f"resolution M={bundle.grid.M} does not certify eps={float(args.eps)}"))
-        return 1
-    return 0
+    if bundle.certified:
+        return payload, None
+    return payload, f"resolution M={bundle.grid.M} does not certify eps={float(args.eps)}"
 
 
-def cmd_lower(args) -> int:
+def cmd_lower(args):
     net = load_network(args.infile)
     via_ternary = False
     if args.mode == "ternary":
@@ -188,24 +164,10 @@ def cmd_lower(args) -> int:
         "certificate": cert_path,
         **cert.to_dict(),
     }
-    _emit(args, payload, [
-        f"{args.mode} lowering{' (ternary first)' if via_ternary else ''}: "
-        f"depth {cert.source_depth} -> {cert.target_depth}, "
-        f"width {cert.source_width_max} -> {cert.target_width_max} "
-        f"(bound {cert.target_width_bound}), "
-        f"nonzeros {cert.source_sparsity} -> {cert.target_sparsity} "
-        f"(bound {cert.target_sparsity_bound})",
-        f"bounds hold: {cert.passed}",
-        f"network: {args.out}",
-        f"certificate: {cert_path}",
-    ])
-    if not cert.passed:
-        _emit_error(DomainError("lowering certificate bounds violated"))
-        return 1
-    return 0
+    return payload, None if cert.passed else "lowering certificate bounds violated"
 
 
-def cmd_rescale(args) -> int:
+def cmd_rescale(args):
     net = load_network(args.infile)
     # The source alphabet decides the label: a zero-free binary result
     # also satisfies the ternary unit alphabet, so testing the output
@@ -222,12 +184,7 @@ def cmd_rescale(args) -> int:
         "weight_set": out_set.value,
         "output_scale": format_rational(unit.output_scale),
     }
-    _emit(args, payload, [
-        f"rescaled to {out_set.value}; output_scale = "
-        f"{format_rational(unit.output_scale)}",
-        f"network: {args.out}",
-    ])
-    return 0
+    return payload, None
 
 
 def _render_value(value, mode: str):
@@ -239,7 +196,7 @@ def _render_value(value, mode: str):
     return value if math.isfinite(value) else str(value)  # "inf" or "-inf": JSON has none
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     net = load_network(args.net)
     x = tuple(as_rational(tok) for tok in _split_list(args.x))
     mode = _mode(args)
@@ -247,16 +204,12 @@ def cmd_eval(args) -> int:
         value = evaluate_implicit(bundle_from_network(net), x, mode)
     else:
         value = evaluate(net, x, mode)
-    rendered = _render_value(value, mode)
     payload = {"command": "eval", "mode": mode, "implicit": args.implicit,
-               "value": rendered}
-    pretty = " ".join(str(v) for v in rendered) if isinstance(rendered, list) \
-        else str(rendered)
-    _emit(args, payload, [pretty])
-    return 0
+               "value": _render_value(value, mode)}
+    return payload, None
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args):
     a = load_network(args.a)
     b = load_network(args.b)
     report = equivalence_check(
@@ -264,37 +217,17 @@ def cmd_equiv(args) -> int:
         tolerance=args.tolerance)
     payload = {"command": "equiv", **asdict(report),
                "max_abs_diff": _render_value(report.max_abs_diff, "float")}
-    _emit(args, payload, [
-        f"{report.samples} samples ({report.mode} mode): "
-        f"{'equivalent' if report.equivalent else 'DIFFER'}, "
-        f"max |diff| = {report.max_abs_diff}",
-    ])
-    if not report.equivalent:
-        _emit_error(DomainError(
-            f"networks differ (max |diff| = {report.max_abs_diff})"))
-        return 1
-    return 0
+    if report.equivalent:
+        return payload, None
+    return payload, f"networks differ (max |diff| = {report.max_abs_diff})"
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     params = TheoremBoundParams(m=args.m, N=args.N, beta=args.beta, d=args.d, K=args.K)
-    report = theorem_bounds(params)
-    payload = {"command": "bounds", **report.to_dict()}
-    _emit(args, payload, [
-        f"depth L = {report.L}",
-        f"max width = {report.p_inf}",
-        f"max nonzeros = {report.s_max}",
-        f"error factor = {report.error_factor}",
-        f"ternary form: depth {report.lowered_ternary[0]}, "
-        f"width {report.lowered_ternary[1]}, nonzeros {report.lowered_ternary[2]}",
-        f"binary form: depth {report.lowered_binary[0]}, "
-        f"width {report.lowered_binary[1]}",
-        f"rounding: {report.rounding}",
-    ])
-    return 0
+    return {"command": "bounds", **theorem_bounds(params).to_dict()}, None
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     dims = []
     for tok in _split_list(args.dims):
         try:
@@ -310,16 +243,7 @@ def cmd_report(args) -> int:
     all_passed = all(row["pass"] for row in rows)
     payload = {"command": "report", "rows": len(rows), "csv": args.csv,
                "all_passed": all_passed}
-    widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in CSV_COLUMNS}
-    table = [" ".join(c.ljust(widths[c]) for c in CSV_COLUMNS)]
-    table.extend(
-        " ".join(str(r[c]).ljust(widths[c]) for c in CSV_COLUMNS) for r in rows)
-    table.append(f"csv: {args.csv}")
-    _emit(args, payload, table)
-    if not all_passed:
-        _emit_error(DomainError("one or more rows exceeded their bound"))
-        return 1
-    return 0
+    return payload, None if all_passed else "one or more rows exceeded their bound"
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +252,7 @@ def cmd_report(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pretty", action="store_true",
-                   help="human-readable output instead of JSON")
+                   help="indent the JSON output")
 
 
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
@@ -431,13 +355,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        payload, failure = args.func(args)
     except QlowerError as exc:
         _emit_error(exc)
         return 1
     except OSError as exc:
         _emit_error(exc)
         return 3
+    print(json.dumps(payload, indent=1 if args.pretty else None, allow_nan=False))
+    if failure is None:
+        return 0
+    _emit_error(DomainError(failure))
+    return 1
 
 
 def entrypoint() -> None:

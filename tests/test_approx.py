@@ -247,6 +247,24 @@ class TestBuildApproximator:
         with pytest.raises(DomainError):
             build_approximator(linear_spec(), 0)
 
+    @pytest.mark.parametrize("constants, message", [
+        ((1, 10**400, 1), "K rounds to inf in binary64"),
+        ((1, "1e-400", 1), "K rounds to 0.0 in binary64"),
+        ((1, 1, "1e400"), "F rounds to inf in binary64"),
+        (("1e-400", 1, 1), "beta rounds to 0.0 in binary64"),
+    ])
+    def test_constants_beyond_binary64_refused(self, constants, message):
+        with pytest.raises(DomainError, match=message):
+            HolderFunctionSpec(lambda x: F(0), 1, *constants)
+
+    @pytest.mark.parametrize("eps, message", [
+        ("1e400", "epsilon rounds to inf in binary64"),
+        ("1e-400", "epsilon rounds to 0.0 in binary64"),
+    ])
+    def test_epsilon_beyond_binary64_refused(self, eps, message):
+        with pytest.raises(DomainError, match=message):
+            build_approximator(linear_spec(), eps)
+
     def test_spec_and_epsilon_stay_exact(self):
         spec = HolderFunctionSpec(lambda x: F(0), 1, 0.5, "7/3", 1)
         assert (spec.beta, spec.K, spec.F) == (F(1, 2), F(7, 3), F(1))

@@ -40,6 +40,18 @@ def affine_net(weight):
 
 
 @pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    """tmp_path as the working directory, holding src.json and two
+    differing one-input nets a.json and b.json."""
+    monkeypatch.chdir(tmp_path)
+    save_network(random_network(random.Random(31), 2, 2, 4), "src.json")
+    rng = random.Random(32)
+    save_network(random_network(rng, 1, 1, 3), "a.json")
+    save_network(random_network(rng, 1, 1, 3), "b.json")
+    return tmp_path
+
+
+@pytest.fixture
 def source_net(tmp_path):
     net = random_network(random.Random(31), 2, 2, 4)
     path = tmp_path / "src.json"
@@ -59,7 +71,7 @@ class TestBounds:
     def test_pretty_output(self, capsys):
         code, out, _ = run(capsys, "bounds", "--d", 1, "--beta", 1, "--K", 1,
                            "--N", 6, "--m", 1, "--pretty")
-        assert code == 0 and "depth L = 81" in out
+        assert code == 0 and '\n "L": 81,\n' in out and json.loads(out)["L"] == 81
 
     def test_precondition_violation_is_validation_error(self, capsys):
         code, out, err = run(capsys, "bounds", "--d", 1, "--beta", 1, "--K", 1,
@@ -316,13 +328,14 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--net", path, "--x", "1e308", "--float")
         assert code == 0 and strict_json(out)["value"] == "inf"
 
-    def test_pretty_prints_bare_value(self, capsys, tmp_path):
+    def test_pretty_indents_payload(self, capsys, tmp_path):
         out = tmp_path / "mean.json"
         run(capsys, "approx", "--target", "mean", "--d", 1, "--eps", "0.25",
             "--out", out)
         code, text, _ = run(capsys, "eval", "--net", out, "--x", "0.3",
                             "--implicit", "--exact", "--pretty")
-        assert code == 0 and text.strip() == "1/5"
+        assert code == 0 and '\n "value": "1/5"\n' in text
+        assert json.loads(text)["value"] == "1/5"
 
     def test_implicit_requires_approximator_shape(self, capsys, source_net):
         _, src = source_net
@@ -373,6 +386,15 @@ class TestReport:
         assert (error["required"], error["cap"]) == (10**18 + 27, 10**8)
         assert not (tmp_path / "x.csv").exists()
 
+    def test_epsilon_beyond_binary64_refused(self, capsys, tmp_path):
+        code, out, err = run(capsys, "report", "--targets", "mean", "--eps-list", "1e400",
+                             "--dims", 1, "--csv", tmp_path / "r.csv")
+        assert code == 1 and out == "" and err.count("\n") == 1
+        error = strict_json(err)
+        assert error["error"] == "DomainError"
+        assert error["message"].startswith("epsilon rounds to inf in binary64")
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("token", ["x", "1.5"])
     def test_non_integer_dimension_is_validation_error(self, capsys, tmp_path, token):
         code, out, err = run(capsys, "report", "--targets", "const", "--eps-list", "1/2",
@@ -415,3 +437,68 @@ class TestErrorContract:
             out = tmp_path / f"{mode}.json"
             run(capsys, "lower", "--mode", mode, "--in", src, "--out", out)
             load_network(out)
+
+
+# The README's CLI examples, in order, then one failed check each for
+# approx, equiv and report: (argv, exit code, stdout, stderr).
+PINNED_RUNS = [
+    (("approx", "--target", "mean", "--d", 1, "--eps", "0.25", "--out", "mean.json"), 0,
+     '{"command": "approx", "target": "mean", "d": 1, "M": 4, "cells": 5, '
+     '"epsilon": 0.25, "bound": 0.2, "certified": true, "materialized": true, '
+     '"network": "mean.json", "certificate": "mean.cert.json"}\n', ""),
+    (("eval", "--net", "mean.json", "--x", "0.3", "--implicit", "--exact"), 0,
+     '{"command": "eval", "mode": "exact", "implicit": true, "value": "1/5"}\n', ""),
+    (("lower", "--mode", "ternary", "--in", "src.json", "--out", "tern.json"), 0,
+     '{"command": "lower", "mode": "ternary", "via_ternary": false, "in": "src.json", '
+     '"out": "tern.json", "certificate": "tern.cert.json", "pass": true, '
+     '"source": {"input_dim": 2, "depth": 2, "width_max": 4, "sparsity": 9}, '
+     '"target": {"weight_set": "ternary_half", "depth": 4, "width_max": 16, '
+     '"sparsity": 111}, "bounds": {"depth": 4, "width_max": 16, "sparsity": 204}}\n', ""),
+    (("equiv", "--a", "src.json", "--b", "tern.json", "--exact"), 0,
+     '{"command": "equiv", "input_dim": 2, "samples": 200, "mode": "exact", '
+     '"equivalent": true, "max_abs_diff": 0.0, "first_divergence": null}\n', ""),
+    (("rescale", "--to", "unit", "--in", "tern.json", "--out", "unit.json"), 0,
+     '{"command": "rescale", "to": "unit", "in": "tern.json", "out": "unit.json", '
+     '"weight_set": "ternary_unit", "output_scale": "1/32"}\n', ""),
+    (("eval", "--net", "src.json", "--x", "1/3,2/5"), 0,
+     '{"command": "eval", "mode": "exact", "implicit": false, "value": "0"}\n', ""),
+    (("bounds", "--d", 1, "--beta", 1, "--K", 1, "--N", 6, "--m", 1), 0,
+     '{"command": "bounds", "L": 81, "p_inf": 144, "s_max": 133214544, '
+     '"error_factor": 3.1666666666666665, "lowered_ternary": {"depth": 83, '
+     '"width": 576, "sparsity": 2131432744}, "lowered_binary": {"depth": 86, '
+     '"width": 4608}, "rounding": "non-integer log2 terms rounded up '
+     '(deeper/wider is admissible); sparsity product rounded down"}\n', ""),
+    (("report", "--targets", "mean,root", "--eps-list", "0.2,0.1", "--dims", 1,
+      "--grid", 1001, "--csv", "report.csv"), 0,
+     '{"command": "report", "rows": 4, "csv": "report.csv", "all_passed": true}\n', ""),
+    (("approx", "--target", "mean", "--d", 1, "--eps", "0.05", "--M", 2, "--out", "m2.json"), 1,
+     '{"command": "approx", "target": "mean", "d": 1, "M": 2, "cells": 3, '
+     '"epsilon": 0.05, "bound": 0.3333333333333333, "certified": false, '
+     '"materialized": true, "network": "m2.json", "certificate": "m2.cert.json"}\n',
+     '{"error": "DomainError", "message": "resolution M=2 does not certify eps=0.05"}\n'),
+    (("equiv", "--a", "a.json", "--b", "b.json", "--samples", 64), 1,
+     '{"command": "equiv", "input_dim": 1, "samples": 64, "mode": "exact", '
+     '"equivalent": false, "max_abs_diff": 0.5, "first_divergence": '
+     '{"point": ["197/256"], "a": ["0"], "b": ["1/2"]}}\n',
+     '{"error": "DomainError", "message": "networks differ (max |diff| = 0.5)"}\n'),
+    (("report", "--targets", "const", "--eps-list", "1/2", "--dims", "x",
+      "--csv", "rx.csv"), 1,
+     "", '{"error": "DomainError", "message": "dimension must be an integer, got \'x\'"}\n'),
+]
+
+
+class TestOutputContract:
+    def test_default_stdout_is_pinned(self, capsys, workdir):
+        for argv, code, out, err in PINNED_RUNS:
+            assert run(capsys, *argv) == (code, out, err), argv
+
+    def test_pretty_is_the_same_object(self, capsys, workdir):
+        for argv, *_ in PINNED_RUNS:
+            code, out, err = run(capsys, *argv)
+            pretty_code, pretty_out, pretty_err = run(capsys, *argv, "--pretty")
+            assert (pretty_code, pretty_err) == (code, err), argv
+            if out:
+                assert pretty_out.startswith('{\n "command": ')
+                assert strict_json(pretty_out) == strict_json(out), argv
+            else:
+                assert pretty_out == ""

@@ -1,0 +1,28 @@
+"""Checks on the package source that need no linter."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import qlower
+
+# __init__.py imports names to re-export them.
+MODULES = sorted(p for p in Path(qlower.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(set(imported_names(tree)) - used) == []
