@@ -17,12 +17,10 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .approx import (
     ApproximatorBundle,
-    GridSpec,
     HolderFunctionSpec,
     _check_cap,
     build_approximator,
     bundle_from_network,
-    cell_index,
 )
 from .errors import DimensionError, DomainError
 from .network import (
@@ -197,15 +195,25 @@ def sup_error(
         if diff > worst:
             worst, argmax = diff, x
 
-    # A point's cell digit along an axis depends only on that coordinate,
-    # so each axis value is looked up once and a point's cell index is the
-    # sum of its digits' place values (M+1)^(i-1).
-    axis = [Fraction(i, n_per_axis - 1) for i in range(n_per_axis)]
-    line = GridSpec(1, grid.M)
-    digits = [cell_index((v,), line) for v in axis]
-    place = [[m * (grid.M + 1) ** i for m in digits] for i in range(grid.d)]
-    for x, offsets in zip(itertools.product(axis, repeat=grid.d), itertools.product(*place)):
-        visit(x, sum(offsets))
+    # A point's cell digit along an axis depends only on that coordinate:
+    # i/(n-1) lies in cell min(M, floor(i(M+1)/(n-1))), found in integers.
+    # Its cell index is the sum of its digits' place values (M+1)^(i-1).
+    # The points are visited in product order, the last axis fastest; that
+    # axis is walked lazily, so a d=1 scan holds no per-point list, and
+    # the d-1 outer axes share one list of (value, digit) pairs.
+    M, last = grid.M, n_per_axis - 1
+
+    def walk():
+        for i in range(n_per_axis):
+            yield Fraction(i, last), min(M, i * (M + 1) // last)
+
+    outer = list(walk()) if grid.d > 1 else []
+    top = (M + 1) ** (grid.d - 1)
+    for prefix in itertools.product(outer, repeat=grid.d - 1):
+        head = tuple(v for v, _ in prefix)
+        base = sum(m * (M + 1) ** i for i, (_, m) in enumerate(prefix))
+        for v, m in outer or walk():
+            visit(head + (v,), base + m * top)
     if include_representatives:
         for k, x in grid.representatives():
             visit(x, k)

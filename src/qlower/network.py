@@ -359,7 +359,9 @@ def sparsity(net: Network) -> SparsityReport:
 #   {"format_version": 1, "input_dim": d, "activation": "relu",
 #    "output_scale": "p/q",
 #    "matrices": [{"rows": r, "cols": c, "entries": ["p/q", ...]}, ...]}
-# Entries are row-major; the writer always emits lowest terms.
+# Entries are row-major; the writer always emits lowest terms. The reader
+# parses each distinct entry string of a file once and shares the value
+# among its repeats; a bad entry still reports its own path.
 
 
 def network_to_dict(net: Network) -> dict:
@@ -403,6 +405,24 @@ def _parse_entry(raw, location: str) -> Fraction:
     raise ParseError(f"entry must be a rational string or integer, got {raw!r}", location=location)
 
 
+def _parse_entries(raw: list, location: str, parsed: dict[str, Fraction]) -> tuple[Fraction, ...]:
+    """One matrix's entries. ``parsed`` maps each string entry parsed so far
+    in the file to its value, so a repeated string is parsed and checked
+    once. A string that fails raises before it is stored, so every bad
+    entry reports its own index. Entries of any other type (integers, and
+    the values ``_parse_entry`` refuses) are parsed each time."""
+    out = []
+    for j, e in enumerate(raw):
+        if type(e) is str:
+            value = parsed.get(e)
+            if value is None:
+                value = parsed[e] = _parse_entry(e, f"{location}.entries[{j}]")
+        else:
+            value = _parse_entry(e, f"{location}.entries[{j}]")
+        out.append(value)
+    return tuple(out)
+
+
 def network_from_dict(payload: dict, location: str = "$") -> Network:
     if not isinstance(payload, dict):
         raise ParseError("network payload must be a JSON object", location=location)
@@ -417,6 +437,7 @@ def network_from_dict(payload: dict, location: str = "$") -> Network:
         raise ParseError(f"unknown activation {act_raw!r}", location=f"{location}.activation") from None
     scale = _parse_entry(payload.get("output_scale", "1"), f"{location}.output_scale")
     mats_raw = _expect(payload, "matrices", list, location)
+    parsed: dict[str, Fraction] = {}
     matrices = []
     for i, m in enumerate(mats_raw):
         loc = f"{location}.matrices[{i}]"
@@ -430,20 +451,24 @@ def network_from_dict(payload: dict, location: str = "$") -> Network:
                 f"matrix {i} declares {rows}x{cols} but carries {len(entries_raw)} entries",
                 layer=i,
             )
-        entries = tuple(
-            _parse_entry(e, f"{loc}.entries[{j}]") for j, e in enumerate(entries_raw)
-        )
-        matrices.append(WeightMatrix(rows, cols, entries))
+        matrices.append(WeightMatrix(rows, cols, _parse_entries(entries_raw, loc, parsed)))
     return Network(input_dim, tuple(matrices), activation, scale)
 
 
 def deserialize(data: Union[bytes, str]) -> Network:
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8: {exc.reason}", location=f"byte {exc.start}") from None
     try:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", location=f"line {exc.lineno} col {exc.colno}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer longer than int(str) accepts
+        raise ParseError(f"invalid JSON: {exc}") from None
     return network_from_dict(payload)
 
 

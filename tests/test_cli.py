@@ -431,6 +431,19 @@ class TestErrorContract:
         assert code == 1 and json.loads(err)["error"] == "ParseError"
         assert json.loads(err)["location"] == "line 1 col 2"
 
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe{}",                                                # not UTF-8
+        b"[" * 200_000,                                               # nested too deeply
+        b'{"format_version": 1, "input_dim": ' + b"9" * 5000 + b"}",  # too many digits
+    ], ids=["not_utf8", "nested", "long_int"])
+    def test_malformed_bytes_are_parse_errors(self, capsys, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        code, out, err = run(capsys, "eval", "--net", bad, "--x", "0.5")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert strict_json(err)["error"] == "ParseError"
+
     def test_every_written_file_reloads(self, capsys, source_net, tmp_path):
         _, src = source_net
         for mode in ("ternary", "binary"):

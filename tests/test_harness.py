@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from qlower import (
     CapacityError,
     DimensionError,
     DomainError,
+    ErrorReport,
     HolderFunctionSpec,
     Network,
     WeightMatrix,
@@ -21,6 +23,7 @@ from qlower import (
     build_selector_matrix,
     builtin_target,
     builtin_targets,
+    cell_index,
     check_holder,
     equivalence_check,
     evaluate_implicit,
@@ -59,6 +62,27 @@ def plain_scan(bundle, f, n_per_axis):
         if diff > worst:
             worst, argmax = diff, x
     return float(worst), argmax
+
+
+def brute_force_report(bundle, f, n_per_axis, bound, representatives):
+    """sup_error's whole report, from one ``cell_index`` per scanned point."""
+    grid = bundle.grid
+    evaluator = f.evaluator if isinstance(f, HolderFunctionSpec) else f
+    axis = [F(i, n_per_axis - 1) for i in range(n_per_axis)]
+    points = list(itertools.product(axis, repeat=grid.d))
+    if representatives:
+        points += [grid.representative(k) for k in range(grid.cell_count)]
+    worst, argmax = F(-1), ()
+    for x in points:
+        diff = abs(F(evaluator(x)) - bundle.readout[cell_index(x, grid)])
+        if diff > worst:
+            worst, argmax = diff, x
+    bound_f = None if bound is None else float(bound)
+    slack = None
+    if isinstance(f, HolderFunctionSpec) and representatives:
+        slack = float(f.K) * float(grid.spacing) ** float(f.beta)
+    return ErrorReport(float(worst), argmax, bound_f,
+                       None if bound is None else float(worst) <= bound_f, slack)
 
 
 class TestBuiltinTargets:
@@ -173,32 +197,55 @@ class TestSupError:
         assert report.sup_error == 100.0
         assert report.argmax_point == (F(1, 2), F(1, 4))
 
-    def test_scan_looks_up_each_axis_value_once(self, monkeypatch):
-        lookups = []
-        real = qlower.approx.cell_index
-
-        def counting(x, grid):
-            lookups.append(x)
-            return real(x, grid)
-
+    def test_scan_finds_cells_without_lookups(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("evaluate_implicit called")
+            raise AssertionError("per-point cell lookup")
 
-        for module in (qlower.approx, qlower.harness):
-            monkeypatch.setattr(module, "cell_index", counting, raising=False)
-            monkeypatch.setattr(module, "evaluate_implicit", refuse, raising=False)
         spec = builtin_targets(2)["mean"]
         bundle = build_approximator(spec, F(1, 4))
+        for module in (qlower.approx, qlower.harness):
+            monkeypatch.setattr(module, "cell_index", refuse, raising=False)
+            monkeypatch.setattr(module, "evaluate_implicit", refuse, raising=False)
         sup_error(bundle, spec, n_per_axis=21)
-        assert len(lookups) == 21
+
+    # (d, M, n): n - 1 a multiple of M + 1, M + 1 a multiple of n - 1,
+    # coprime, and more points than cells or fewer
+    @pytest.mark.parametrize("d, M, n", [
+        (1, 5, 13), (1, 11, 4), (1, 6, 10), (1, 2, 2), (1, 30, 7),
+        (2, 3, 9), (2, 7, 5), (2, 4, 8), (3, 2, 4), (3, 1, 6),
+    ])
+    @pytest.mark.parametrize("representatives", [True, False])
+    def test_report_matches_brute_force_scan(self, d, M, n, representatives):
+        spec = HolderFunctionSpec(asymmetric, d, 1, 36, 36)
+        bundle = build_approximator(spec, 1, M_override=M)
+        bound = F(1, 3)
+        report = sup_error(bundle, spec, n_per_axis=n, bound=bound,
+                           include_representatives=representatives)
+        assert report == brute_force_report(bundle, spec, n, bound, representatives)
+
+    def test_one_axis_scan_holds_no_per_point_list(self):
+        bundle = build_approximator(builtin_targets(1)["mean"], F(1, 5))
+        bundle.readout  # built before tracing
+        tracemalloc.start()
+        try:
+            report = sup_error(bundle, lambda x: x[0], n_per_axis=200_001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.argmax_point == (F(1),)
+        # lists of the 200,001 points would take about 30 MB
+        assert peak < 1_000_000
 
     def test_scan_over_cap_fails_before_scanning(self, monkeypatch):
         spec = builtin_targets(2)["mean"]
         bundle = build_approximator(spec, F(1, 4))  # M = 4, 25 cells
-        monkeypatch.setattr(qlower.harness, "GridSpec", None)  # never reached
+
+        def refuse(x):
+            raise AssertionError("scan started")
+
         monkeypatch.setenv("QLOWER_CAP", "145")
         with pytest.raises(CapacityError) as err:
-            sup_error(bundle, spec, n_per_axis=11)
+            sup_error(bundle, refuse, n_per_axis=11)
         assert (err.value.required, err.value.cap) == (11**2 + 25, 145)
         assert str(err.value).startswith("scan needs 146 points")
         # without the representatives the same scan fits

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import qlower.network
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +35,7 @@ from qlower import (
     validate,
 )
 from conftest import mat, relu_net
+from test_acceptance import CORPUS_SIZE, _make_source
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -352,3 +354,92 @@ class TestSerialization:
         rng = random.Random(seed)
         net = random_network(rng, rng.randint(1, 3), rng.randint(0, 3), 4)
         assert deserialize(serialize(net)) == net
+
+
+def row_payload(*entries):
+    """A one-matrix relu network file whose single row holds ``entries``."""
+    return {
+        "format_version": 1,
+        "input_dim": len(entries) - 1,
+        "activation": "relu",
+        "matrices": [{"rows": 1, "cols": len(entries), "entries": list(entries)}],
+    }
+
+
+@pytest.fixture(scope="module")
+def approximator_net():
+    """The materialized root d=2 eps=1/7 approximator (M=49, 2,500 cells):
+    250,297 entries, 2,600 distinct strings."""
+    return build_approximator(builtin_target("root", 2), Fraction(1, 7)).network
+
+
+class TestMemoizedParsing:
+    """Each distinct entry string of a file is parsed once, and every
+    entry keeps its own checks and error location."""
+
+    def test_bad_entry_among_repeats_reports_its_index(self):
+        payload = row_payload(*["1/2"] * 5, "x/y", *["1/2"] * 3)
+        with pytest.raises(ParseError) as err:
+            network_from_dict(payload)
+        assert err.value.location == "$.matrices[0].entries[5]"
+
+    def test_repeated_bad_string_reports_first_index(self):
+        payload = row_payload("1/2", "x/y", "1/2", "x/y")
+        with pytest.raises(ParseError) as err:
+            network_from_dict(payload)
+        assert err.value.location == "$.matrices[0].entries[1]"
+
+    @pytest.mark.parametrize("flag, equal", [(True, 1), (False, 0)])
+    def test_bool_refused_after_equal_int_and_string(self, flag, equal):
+        payload = row_payload(equal, str(equal), flag)
+        with pytest.raises(ParseError) as err:
+            network_from_dict(payload)
+        assert err.value.location == "$.matrices[0].entries[2]"
+
+    def test_whitespace_variants_parse_alike(self):
+        net = network_from_dict(row_payload(" 1/2", "1/2", "1/2 "))
+        assert net.matrices[0].entries == (Fraction(1, 2),) * 3
+
+    def test_corpus_and_approximator_round_trip(self, approximator_net):
+        for i in range(CORPUS_SIZE):
+            net = _make_source(i)
+            assert deserialize(serialize(net)) == net, i
+        assert deserialize(serialize(approximator_net)) == approximator_net
+
+    def test_each_distinct_string_is_parsed_once(self, monkeypatch, approximator_net):
+        data = serialize(approximator_net)
+        entries = [e for m in json.loads(data)["matrices"] for e in m["entries"]]
+        assert (len(entries), len(set(entries))) == (250_297, 2_600)
+        calls = []
+        real = qlower.network.as_rational
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(qlower.network, "as_rational", counting)
+        assert deserialize(data) == approximator_net
+        # one call per distinct entry string, and two for output_scale: one
+        # as it is read, one as Network coerces it
+        assert len(calls) == len(set(entries)) + 2
+
+
+# Bytes that json.loads or str.decode cannot take: not UTF-8, nested past
+# the recursion limit, and an integer past int(str)'s digit limit.
+MALFORMED_FILES = {
+    "not_utf8": b"\xff\xfe{}",
+    "nested": b"[" * 200_000,
+    "long_int": b'{"format_version": 1, "input_dim": ' + b"9" * 5000 + b"}",
+}
+
+
+class TestMalformedBytes:
+    @pytest.mark.parametrize("data", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+    def test_raises_parse_error(self, data):
+        with pytest.raises(ParseError):
+            deserialize(data)
+
+    def test_bad_utf8_names_its_byte(self):
+        with pytest.raises(ParseError) as err:
+            deserialize(b'{"input_dim": 1, \xc3(}')
+        assert err.value.location == "byte 17"
