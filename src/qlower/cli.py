@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a network at a point")
     p.add_argument("--net", required=True, help="network JSON path")
     p.add_argument("--x", required=True,
-                   help='comma-separated coordinates; rationals like "3/10" allowed')
+                   help='comma-separated coordinates; rationals like "3/10" allowed; '
+                        'write a point that starts with "-" as --x=-1,3')
     p.add_argument("--implicit", action="store_true",
                    help="evaluate an approximator by cell lookup")
     _add_mode_flags(p)

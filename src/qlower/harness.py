@@ -33,6 +33,9 @@ HOLDER_CHECK_PAIRS = 10_000
 # fractional beta): covers rounding of the evaluator and of |x-y|^beta.
 FLOAT_CHECK_SLACK = 1e-12
 
+# The coordinates check_holder samples: the dyadics i/256, 0 <= i <= 256.
+_HOLDER_GRID = tuple(Fraction(i, 256) for i in range(257))
+
 CSV_COLUMNS = (
     "target", "d", "beta", "K", "eps", "M",
     "depth", "widths", "sparsity", "sup_error", "bound", "pass",
@@ -76,14 +79,17 @@ def check_holder(
     exact = spec.beta == 1
     K_f, beta_f = float(spec.K), float(spec.beta)
     for _ in range(pairs):
-        x = [Fraction(rng.randrange(257), 256) for _ in range(spec.d)]
-        y = [Fraction(rng.randrange(257), 256) for _ in range(spec.d)]
-        dist = max(abs(a - b) for a, b in zip(x, y))
+        xi = [rng.randrange(257) for _ in range(spec.d)]
+        yi = [rng.randrange(257) for _ in range(spec.d)]
+        gap = max(abs(a - b) for a, b in zip(xi, yi))  # |x-y| is gap/256
+        x = [_HOLDER_GRID[i] for i in xi]
+        y = [_HOLDER_GRID[i] for i in yi]
         fx, fy = spec.evaluator(x), spec.evaluator(y)
         if exact and isinstance(fx, (int, Fraction)) and isinstance(fy, (int, Fraction)):
-            violated = abs(as_rational(fx) - as_rational(fy)) > spec.K * dist
+            violated = abs(as_rational(fx) - as_rational(fy)) > spec.K * Fraction(gap, 256)
         else:
-            violated = abs(float(fx) - float(fy)) > K_f * float(dist) ** beta_f + FLOAT_CHECK_SLACK
+            # gap/256 is exact in binary64
+            violated = abs(float(fx) - float(fy)) > K_f * (gap / 256) ** beta_f + FLOAT_CHECK_SLACK
         if violated:
             raise DomainError(
                 f"target {name!r} violates its claimed constants at "

@@ -21,7 +21,9 @@ of the units it merged before its own rows are compared. The lowering
 passes duplicate every hidden unit, so a lowered net shrinks back to
 about its source's widths; a net with no repeated row is evaluated as it
 is. Results are expanded back to one value per unit at the output and in
-``forward_trace``, so the plan changes no value.
+``forward_trace``, so the plan changes no value. The plan is built once per
+distinct entry object, not once per entry, and equal entries that share
+one object share one integer in it.
 
 Float mode runs the same exact evaluation and rounds each returned value
 to the nearest binary64 (values beyond its range round to an infinity),
@@ -202,14 +204,19 @@ class _LayerPlan(NamedTuple):
     gather: tuple[int, ...] | None
 
 
+def _by_id(values: Sequence) -> dict[int, object]:
+    """The distinct objects of ``values``, keyed by ``id``. The caller
+    keeps ``values`` alive while it uses the keys."""
+    return dict(zip(map(id, values), values))
+
+
 def _plan_layer(mat: WeightMatrix, merged: tuple[int, ...] | None) -> _LayerPlan:
     """Plan one matrix whose input units map to distinct values by ``merged``
     (None when the input units are all distinct)."""
-    scale = lcm_denominators(mat.entries)
-    rows = (
-        tuple(e.numerator * (scale // e.denominator) for e in mat.row(r))
-        for r in range(mat.rows)
-    )
+    objects = _by_id(mat.entries)
+    scale = lcm_denominators(objects.values())
+    scaled = {k: e.numerator * (scale // e.denominator) for k, e in objects.items()}
+    rows = (tuple(map(scaled.__getitem__, map(id, mat.row(r)))) for r in range(mat.rows))
     if merged is not None:
         width = max(merged) + 1
 
@@ -355,34 +362,36 @@ def sparsity(net: Network) -> SparsityReport:
 
 # --- serialization -----------------------------------------------------------
 #
-# UTF-8 JSON, one object per network:
+# UTF-8 JSON, one object per network, in the layout json.dumps(..., indent=1)
+# gives:
 #   {"format_version": 1, "input_dim": d, "activation": "relu",
 #    "output_scale": "p/q",
 #    "matrices": [{"rows": r, "cols": c, "entries": ["p/q", ...]}, ...]}
-# Entries are row-major; the writer always emits lowest terms. The reader
-# parses each distinct entry string of a file once and shares the value
-# among its repeats; a bad entry still reports its own path.
-
-
-def network_to_dict(net: Network) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "input_dim": net.input_dim,
-        "activation": net.activation.value,
-        "output_scale": format_rational(net.output_scale),
-        "matrices": [
-            {
-                "rows": m.rows,
-                "cols": m.cols,
-                "entries": [format_rational(e) for e in m.entries],
-            }
-            for m in net.matrices
-        ],
-    }
+# Entries are row-major; the writer always emits lowest terms. It formats
+# each distinct entry object once and writes the layout itself: entry
+# strings match -?\d+(/\d+)? and need no escaping. The reader parses each
+# distinct entry string of a file once and shares the value among its
+# repeats; a bad entry still reports its own path.
 
 
 def serialize(net: Network) -> bytes:
-    return (json.dumps(network_to_dict(net), indent=1) + "\n").encode("utf-8")
+    text: dict[int, str] = {}
+    matrices = []
+    for m in net.matrices:
+        for k, e in _by_id(m.entries).items():
+            if k not in text:
+                text[k] = format_rational(e)
+        entries = '",\n    "'.join(map(text.__getitem__, map(id, m.entries)))
+        matrices.append(
+            f'  {{\n   "rows": {m.rows},\n   "cols": {m.cols},\n'
+            f'   "entries": [\n    "{entries}"\n   ]\n  }}'
+        )
+    return (
+        f'{{\n "format_version": {FORMAT_VERSION},\n "input_dim": {net.input_dim},\n'
+        f' "activation": {json.dumps(net.activation.value)},\n'
+        f' "output_scale": "{format_rational(net.output_scale)}",\n'
+        f' "matrices": [\n' + ",\n".join(matrices) + '\n ]\n}\n'
+    ).encode("utf-8")
 
 
 def _expect(payload: dict, key: str, types, location: str):
@@ -408,9 +417,19 @@ def _parse_entry(raw, location: str) -> Fraction:
 def _parse_entries(raw: list, location: str, parsed: dict[str, Fraction]) -> tuple[Fraction, ...]:
     """One matrix's entries. ``parsed`` maps each string entry parsed so far
     in the file to its value, so a repeated string is parsed and checked
-    once. A string that fails raises before it is stored, so every bad
-    entry reports its own index. Entries of any other type (integers, and
-    the values ``_parse_entry`` refuses) are parsed each time."""
+    once. When every entry is a string, the new strings are parsed in
+    order of first occurrence, so the first to fail is the bad entry of
+    lowest index. Any other matrix is parsed entry by entry: integers, and
+    the values ``_parse_entry`` refuses, are parsed each time, and a string
+    that fails raises before it is stored."""
+    if set(map(type, raw)) == {str}:
+        for e in dict.fromkeys(raw):
+            if e not in parsed:
+                try:
+                    parsed[e] = as_rational(e)
+                except ParseError as exc:
+                    raise ParseError(str(exc), location=f"{location}.entries[{raw.index(e)}]") from exc
+        return tuple(map(parsed.__getitem__, raw))
     out = []
     for j, e in enumerate(raw):
         if type(e) is str:
@@ -446,6 +465,9 @@ def network_from_dict(payload: dict, location: str = "$") -> Network:
         rows = _expect(m, "rows", int, loc)
         cols = _expect(m, "cols", int, loc)
         entries_raw = _expect(m, "entries", list, loc)
+        if rows < 1 or cols < 1:
+            raise DimensionError(
+                f"matrix {i} declares {rows}x{cols}; its shape must be positive", layer=i)
         if len(entries_raw) != rows * cols:
             raise DimensionError(
                 f"matrix {i} declares {rows}x{cols} but carries {len(entries_raw)} entries",

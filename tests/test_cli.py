@@ -352,6 +352,12 @@ class TestEval:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_negative_coordinates_after_equals_sign(self, capsys, source_net):
+        net, src = source_net
+        code, payload, _ = run_json(capsys, "eval", "--net", src, "--x=-1/2,1/3")
+        assert code == 0
+        assert payload["value"] == str(evaluate(net, (F(-1, 2), F(1, 3))))
+
     def test_exact_and_float_flags_conflict(self, capsys, source_net):
         _, src = source_net
         code, _, _ = run(capsys, "eval", "--net", src, "--x", "1/2,1/2",
@@ -430,6 +436,17 @@ class TestErrorContract:
         code, _, err = run(capsys, "eval", "--net", bad, "--x", "0.5")
         assert code == 1 and json.loads(err)["error"] == "ParseError"
         assert json.loads(err)["location"] == "line 1 col 2"
+
+    @pytest.mark.parametrize("rows, cols, entries", [(-1, -2, ["1", "1"]), (0, 2, [])])
+    def test_nonpositive_shape_names_its_layer(self, capsys, tmp_path, rows, cols, entries):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "format_version": 1, "input_dim": 1, "activation": "relu",
+            "matrices": [{"rows": rows, "cols": cols, "entries": entries}]}))
+        code, out, err = run(capsys, "eval", "--net", bad, "--x", "0.5")
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "DimensionError" and error["layer"] == 0
 
     @pytest.mark.parametrize("data", [
         b"\xff\xfe{}",                                                # not UTF-8

@@ -37,6 +37,7 @@ from qlower import (
     write_report_csv,
 )
 from qlower.approx import GridSpec
+from qlower.rationals import format_rational
 from qlower.harness import CSV_COLUMNS, bundle_stats
 
 from conftest import forbid_selector_builds
@@ -129,6 +130,34 @@ class TestCheckHolder:
                                        1, 1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             check_holder(sqrt_spec, pairs=500, name="sqrt-as-lipschitz")
+
+    @staticmethod
+    def drawn_points(name, d, seed, pairs):
+        """The points of the seeded pairs, drawn as Fraction(randrange(257), 256)."""
+        rng = random.Random(f"holder:{name}:{d}:{seed}:{pairs}")
+        points = []
+        for _ in range(pairs):
+            points.append([Fraction(rng.randrange(257), 256) for _ in range(d)])
+            points.append([Fraction(rng.randrange(257), 256) for _ in range(d)])
+        return points
+
+    @pytest.mark.parametrize("beta", [1, Fraction(1, 2)])
+    def test_evaluator_sees_the_seeded_dyadic_points(self, beta):
+        seen = []
+        spec = HolderFunctionSpec(lambda x: seen.append(list(x)) or 0, 3, beta, 1, 1)
+        check_holder(spec, pairs=400, seed=9, name="probe")
+        assert seen == self.drawn_points("probe", 3, 9, 400)
+
+    def test_violation_names_the_first_violating_pair(self):
+        doubled = HolderFunctionSpec(lambda x: 2 * x[0] - x[1], 2, 1, 1, 2)
+        points = self.drawn_points("doubled", 2, 0, 500)
+        x, y = next(
+            (x, y) for x, y in zip(points[::2], points[1::2])
+            if abs(2 * (x[0] - y[0]) - (x[1] - y[1])) > max(abs(x[0] - y[0]), abs(x[1] - y[1])))
+        with pytest.raises(DomainError) as err:
+            check_holder(doubled, pairs=500, name="doubled")
+        assert str(err.value).endswith(
+            f"x={[format_rational(v) for v in x]}, y={[format_rational(v) for v in y]}")
 
 
 class TestSupError:

@@ -32,10 +32,12 @@ from qlower import (
     serialize,
     sparsity,
     ternarize,
+    to_unit_weights,
     validate,
 )
+from qlower.rationals import format_rational
 from conftest import mat, relu_net
-from test_acceptance import CORPUS_SIZE, _make_source
+from test_acceptance import CORPUS_SIZE, _lowered, _make_source
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -443,3 +445,140 @@ class TestMalformedBytes:
         with pytest.raises(ParseError) as err:
             deserialize(b'{"input_dim": 1, \xc3(}')
         assert err.value.location == "byte 17"
+
+
+def reference_serialize(net):
+    """The file format as the stdlib's indenting encoder writes it."""
+    payload = {
+        "format_version": 1,
+        "input_dim": net.input_dim,
+        "activation": net.activation.value,
+        "output_scale": format_rational(net.output_scale),
+        "matrices": [
+            {"rows": m.rows, "cols": m.cols,
+             "entries": [format_rational(e) for e in m.entries]}
+            for m in net.matrices
+        ],
+    }
+    return (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+
+
+def reference_plan(net):
+    """(scale, rows, gather) of every layer, computed entry by entry."""
+    plan, merged = [], None
+    for m in net.matrices:
+        scale = math.lcm(*(e.denominator for e in m.entries))
+        index, gather = {}, []
+        for r in range(m.rows):
+            row = [e.numerator * (scale // e.denominator) for e in m.row(r)]
+            if merged is not None:
+                summed = [0] * (max(merged) + 1)
+                for j, w in zip(merged, row):
+                    summed[j] += w
+                row = summed
+            gather.append(index.setdefault(tuple(row), len(index)))
+        plan.append((scale, tuple(index), None if len(index) == m.rows else tuple(gather)))
+        merged = plan[-1][2]
+    return plan
+
+
+@pytest.fixture(scope="module")
+def format_nets(approximator_net):
+    """The acceptance corpus with its ternary, binary and unit forms, every
+    built-in approximator at d=1 and d=2, and a net with a negative output
+    scale and a 10^30 numerator."""
+    nets = []
+    for i in range(CORPUS_SIZE):
+        source = _make_source(i)
+        tern, binr, _, _ = _lowered(i, source)
+        nets += [source, tern, binr, to_unit_weights(binr)]
+    for d in (1, 2):
+        for name in ("const", "mean", "maxcoord", "root"):
+            nets.append(build_approximator(builtin_target(name, d), Fraction(1, 4)).network)
+    nets.append(approximator_net)
+    nets.append(relu_net(1, [[Fraction(10**30, 7), "-1/2"], [0, 1]], [[1, 10**30]],
+                         scale=Fraction(-3, 5)))
+    return nets
+
+
+class TestDistinctObjectWork:
+    """The plan and the writer work once per distinct entry object; what
+    they produce is the per-entry reference's, byte for byte."""
+
+    def test_serialize_matches_indenting_encoder(self, format_nets):
+        for k, net in enumerate(format_nets):
+            assert serialize(net) == reference_serialize(net), k
+
+    def test_plan_matches_per_entry_reference(self, format_nets):
+        for k, net in enumerate(format_nets):
+            assert [tuple(layer) for layer in net._plan] == reference_plan(net), k
+
+    def test_equal_entries_share_one_plan_int(self, approximator_net):
+        net = Network(2, approximator_net.matrices, approximator_net.activation)
+        for mat_, layer in zip(net.matrices, net._plan):
+            objects = len({id(e) for e in mat_.entries})
+            ints = {id(v) for row in layer.rows for v in row}
+            assert len(ints) <= objects
+
+    def test_writer_formats_each_object_once(self, monkeypatch, approximator_net):
+        calls = []
+        real = qlower.network.format_rational
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(qlower.network, "format_rational", counting)
+        data = serialize(approximator_net)
+        objects = {id(e) for m in approximator_net.matrices for e in m.entries}
+        assert len(calls) <= len(objects) + 1  # and one for output_scale
+        assert len(calls) < 6_000
+        assert data == reference_serialize(approximator_net)
+
+    def test_plan_reads_each_object_once(self, monkeypatch, approximator_net):
+        received = []
+        real = qlower.network.lcm_denominators
+
+        def recording(values):
+            values = list(values)
+            received.append(len(values))
+            return real(values)
+
+        monkeypatch.setattr(qlower.network, "lcm_denominators", recording)
+        net = Network(2, approximator_net.matrices, approximator_net.activation)
+        net._plan
+        assert received == [len({id(e) for e in m.entries}) for m in net.matrices]
+        assert sum(received) < 6_000
+
+    @pytest.mark.parametrize("entries, index", [
+        (["1/2", "1/3", "x/y", "1/2", "x/y"], 2),
+        (["1/2", "b/c", "1/3", "a/c", "b/c"], 1),
+        (["1", "a/b", "1", "1/0"], 1),
+        (["1", "1/0", "1", "a/b"], 1),
+    ])
+    def test_all_string_matrix_reports_lowest_bad_index(self, entries, index):
+        with pytest.raises(ParseError) as err:
+            network_from_dict(row_payload(*entries))
+        assert err.value.location == f"$.matrices[0].entries[{index}]"
+
+    def test_bad_string_after_an_earlier_matrix_reports_its_index(self):
+        payload = row_payload("1/2", "1/3")
+        payload["matrices"].append({"rows": 1, "cols": 3, "entries": ["1/3", "q", "q"]})
+        with pytest.raises(ParseError) as err:
+            network_from_dict(payload)
+        assert err.value.location == "$.matrices[1].entries[1]"
+
+
+class TestShapeErrors:
+    @pytest.mark.parametrize("rows, cols, entries", [
+        (-1, -2, ["1", "1"]),
+        (0, 2, []),
+        (1, 0, []),
+    ])
+    def test_nonpositive_shape_names_its_layer(self, rows, cols, entries):
+        payload = row_payload("0", "1")
+        payload["matrices"].insert(0, {"rows": rows, "cols": cols, "entries": entries})
+        with pytest.raises(DimensionError) as err:
+            network_from_dict(payload)
+        assert err.value.layer == 0
+        assert f"matrix 0 declares {rows}x{cols}" in str(err.value)
