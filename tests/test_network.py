@@ -178,6 +178,19 @@ class TestShapes:
         with pytest.raises(DimensionError):
             WeightMatrix(2, 2, (Fraction(0),) * 3)
 
+    @pytest.mark.parametrize("rows, cols, entries", [
+        (-1, -2, ["1", "1"]),
+        (0, 2, []),
+        (1, 0, []),
+    ])
+    def test_nonpositive_shape_names_its_layer(self, rows, cols, entries):
+        payload = row_payload("0", "1")
+        payload["matrices"].insert(0, {"rows": rows, "cols": cols, "entries": entries})
+        with pytest.raises(DimensionError) as err:
+            network_from_dict(payload)
+        assert err.value.layer == 0
+        assert f"matrix 0 declares {rows}x{cols}" in str(err.value)
+
     def test_vector_length_checked_on_evaluate(self, example_net):
         with pytest.raises(DimensionError):
             evaluate(example_net, [Fraction(1, 2), Fraction(1, 2)])
@@ -568,17 +581,3 @@ class TestDistinctObjectWork:
             network_from_dict(payload)
         assert err.value.location == "$.matrices[1].entries[1]"
 
-
-class TestShapeErrors:
-    @pytest.mark.parametrize("rows, cols, entries", [
-        (-1, -2, ["1", "1"]),
-        (0, 2, []),
-        (1, 0, []),
-    ])
-    def test_nonpositive_shape_names_its_layer(self, rows, cols, entries):
-        payload = row_payload("0", "1")
-        payload["matrices"].insert(0, {"rows": rows, "cols": cols, "entries": entries})
-        with pytest.raises(DimensionError) as err:
-            network_from_dict(payload)
-        assert err.value.layer == 0
-        assert f"matrix 0 declares {rows}x{cols}" in str(err.value)
