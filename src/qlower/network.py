@@ -417,19 +417,9 @@ def _parse_entry(raw, location: str) -> Fraction:
 def _parse_entries(raw: list, location: str, parsed: dict[str, Fraction]) -> tuple[Fraction, ...]:
     """One matrix's entries. ``parsed`` maps each string entry parsed so far
     in the file to its value, so a repeated string is parsed and checked
-    once. When every entry is a string, the new strings are parsed in
-    order of first occurrence, so the first to fail is the bad entry of
-    lowest index. Any other matrix is parsed entry by entry: integers, and
-    the values ``_parse_entry`` refuses, are parsed each time, and a string
-    that fails raises before it is stored."""
-    if set(map(type, raw)) == {str}:
-        for e in dict.fromkeys(raw):
-            if e not in parsed:
-                try:
-                    parsed[e] = as_rational(e)
-                except ParseError as exc:
-                    raise ParseError(str(exc), location=f"{location}.entries[{raw.index(e)}]") from exc
-        return tuple(map(parsed.__getitem__, raw))
+    once. A string that fails raises before it is stored, so every bad
+    entry reports its own index. Entries of any other type (integers, and
+    the values ``_parse_entry`` refuses) are parsed each time."""
     out = []
     for j, e in enumerate(raw):
         if type(e) is str:

@@ -381,6 +381,41 @@ def row_payload(*entries):
     }
 
 
+def reference_serialize(net):
+    """The file format as the stdlib's indenting encoder writes it."""
+    payload = {
+        "format_version": 1,
+        "input_dim": net.input_dim,
+        "activation": net.activation.value,
+        "output_scale": format_rational(net.output_scale),
+        "matrices": [
+            {"rows": m.rows, "cols": m.cols,
+             "entries": [format_rational(e) for e in m.entries]}
+            for m in net.matrices
+        ],
+    }
+    return (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+
+
+def reference_plan(net):
+    """(scale, rows, gather) of every layer, computed entry by entry."""
+    plan, merged = [], None
+    for m in net.matrices:
+        scale = math.lcm(*(e.denominator for e in m.entries))
+        index, gather = {}, []
+        for r in range(m.rows):
+            row = [e.numerator * (scale // e.denominator) for e in m.row(r)]
+            if merged is not None:
+                summed = [0] * (max(merged) + 1)
+                for j, w in zip(merged, row):
+                    summed[j] += w
+                row = summed
+            gather.append(index.setdefault(tuple(row), len(index)))
+        plan.append((scale, tuple(index), None if len(index) == m.rows else tuple(gather)))
+        merged = plan[-1][2]
+    return plan
+
+
 @pytest.fixture(scope="module")
 def approximator_net():
     """The materialized root d=2 eps=1/7 approximator (M=49, 2,500 cells):
@@ -404,6 +439,23 @@ class TestMemoizedParsing:
             network_from_dict(payload)
         assert err.value.location == "$.matrices[0].entries[1]"
 
+    @pytest.mark.parametrize("entries, index", [
+        (["1/2", "b/c", "1/3", "a/c", "b/c"], 1),
+        (["1", "a/b", "1", "1/0"], 1),
+        (["1", "1/0", "1", "a/b"], 1),
+    ])
+    def test_lowest_bad_index_is_reported(self, entries, index):
+        with pytest.raises(ParseError) as err:
+            network_from_dict(row_payload(*entries))
+        assert err.value.location == f"$.matrices[0].entries[{index}]"
+
+    def test_bad_string_after_an_earlier_matrix_reports_its_index(self):
+        payload = row_payload("1/2", "1/3")
+        payload["matrices"].append({"rows": 1, "cols": 3, "entries": ["1/3", "q", "q"]})
+        with pytest.raises(ParseError) as err:
+            network_from_dict(payload)
+        assert err.value.location == "$.matrices[1].entries[1]"
+
     @pytest.mark.parametrize("flag, equal", [(True, 1), (False, 0)])
     def test_bool_refused_after_equal_int_and_string(self, flag, equal):
         payload = row_payload(equal, str(equal), flag)
@@ -416,10 +468,30 @@ class TestMemoizedParsing:
         assert net.matrices[0].entries == (Fraction(1, 2),) * 3
 
     def test_corpus_and_approximator_round_trip(self, approximator_net):
+        # Each net also serializes byte for byte as the indenting encoder
+        # writes it, and plans as the per-entry reference does: the corpus
+        # with its ternary and binary forms (and unit forms of the first
+        # 20), every built-in target at d=1 and d=2, the approximator, and
+        # a net with a negative output scale and a 10^30 numerator.
+        nets = []
         for i in range(CORPUS_SIZE):
             net = _make_source(i)
             assert deserialize(serialize(net)) == net, i
+            tern, binr, _, _ = _lowered(i, net)
+            nets += [net, tern, binr]
+            if i < 20:
+                nets += [to_unit_weights(tern), to_unit_weights(binr)]
+        for d in (1, 2):
+            for name in ("const", "mean", "maxcoord", "root"):
+                target = builtin_target(name, d)
+                nets.append(build_approximator(target, Fraction(1, 4), M_override=4).network)
+        nets.append(relu_net(1, [[Fraction(10**30, 7), "-1/2"], [0, 1]], [[1, 10**30]],
+                             scale=Fraction(-3, 5)))
         assert deserialize(serialize(approximator_net)) == approximator_net
+        nets.append(approximator_net)
+        for k, net in enumerate(nets):
+            assert serialize(net) == reference_serialize(net), k
+            assert [tuple(layer) for layer in net._plan] == reference_plan(net), k
 
     def test_each_distinct_string_is_parsed_once(self, monkeypatch, approximator_net):
         data = serialize(approximator_net)
@@ -460,71 +532,8 @@ class TestMalformedBytes:
         assert err.value.location == "byte 17"
 
 
-def reference_serialize(net):
-    """The file format as the stdlib's indenting encoder writes it."""
-    payload = {
-        "format_version": 1,
-        "input_dim": net.input_dim,
-        "activation": net.activation.value,
-        "output_scale": format_rational(net.output_scale),
-        "matrices": [
-            {"rows": m.rows, "cols": m.cols,
-             "entries": [format_rational(e) for e in m.entries]}
-            for m in net.matrices
-        ],
-    }
-    return (json.dumps(payload, indent=1) + "\n").encode("utf-8")
-
-
-def reference_plan(net):
-    """(scale, rows, gather) of every layer, computed entry by entry."""
-    plan, merged = [], None
-    for m in net.matrices:
-        scale = math.lcm(*(e.denominator for e in m.entries))
-        index, gather = {}, []
-        for r in range(m.rows):
-            row = [e.numerator * (scale // e.denominator) for e in m.row(r)]
-            if merged is not None:
-                summed = [0] * (max(merged) + 1)
-                for j, w in zip(merged, row):
-                    summed[j] += w
-                row = summed
-            gather.append(index.setdefault(tuple(row), len(index)))
-        plan.append((scale, tuple(index), None if len(index) == m.rows else tuple(gather)))
-        merged = plan[-1][2]
-    return plan
-
-
-@pytest.fixture(scope="module")
-def format_nets(approximator_net):
-    """The acceptance corpus with its ternary, binary and unit forms, every
-    built-in approximator at d=1 and d=2, and a net with a negative output
-    scale and a 10^30 numerator."""
-    nets = []
-    for i in range(CORPUS_SIZE):
-        source = _make_source(i)
-        tern, binr, _, _ = _lowered(i, source)
-        nets += [source, tern, binr, to_unit_weights(binr)]
-    for d in (1, 2):
-        for name in ("const", "mean", "maxcoord", "root"):
-            nets.append(build_approximator(builtin_target(name, d), Fraction(1, 4)).network)
-    nets.append(approximator_net)
-    nets.append(relu_net(1, [[Fraction(10**30, 7), "-1/2"], [0, 1]], [[1, 10**30]],
-                         scale=Fraction(-3, 5)))
-    return nets
-
-
 class TestDistinctObjectWork:
-    """The plan and the writer work once per distinct entry object; what
-    they produce is the per-entry reference's, byte for byte."""
-
-    def test_serialize_matches_indenting_encoder(self, format_nets):
-        for k, net in enumerate(format_nets):
-            assert serialize(net) == reference_serialize(net), k
-
-    def test_plan_matches_per_entry_reference(self, format_nets):
-        for k, net in enumerate(format_nets):
-            assert [tuple(layer) for layer in net._plan] == reference_plan(net), k
+    """The plan and the writer work once per distinct entry object."""
 
     def test_equal_entries_share_one_plan_int(self, approximator_net):
         net = Network(2, approximator_net.matrices, approximator_net.activation)
@@ -562,22 +571,3 @@ class TestDistinctObjectWork:
         net._plan
         assert received == [len({id(e) for e in m.entries}) for m in net.matrices]
         assert sum(received) < 6_000
-
-    @pytest.mark.parametrize("entries, index", [
-        (["1/2", "1/3", "x/y", "1/2", "x/y"], 2),
-        (["1/2", "b/c", "1/3", "a/c", "b/c"], 1),
-        (["1", "a/b", "1", "1/0"], 1),
-        (["1", "1/0", "1", "a/b"], 1),
-    ])
-    def test_all_string_matrix_reports_lowest_bad_index(self, entries, index):
-        with pytest.raises(ParseError) as err:
-            network_from_dict(row_payload(*entries))
-        assert err.value.location == f"$.matrices[0].entries[{index}]"
-
-    def test_bad_string_after_an_earlier_matrix_reports_its_index(self):
-        payload = row_payload("1/2", "1/3")
-        payload["matrices"].append({"rows": 1, "cols": 3, "entries": ["1/3", "q", "q"]})
-        with pytest.raises(ParseError) as err:
-            network_from_dict(payload)
-        assert err.value.location == "$.matrices[1].entries[1]"
-
