@@ -336,17 +336,17 @@ def _check_binary64(name: str, value: Fraction) -> None:
 def build_readout(f, grid: GridSpec) -> tuple[Fraction, ...]:
     """Target values at all cell representatives, as exact rationals.
 
-    Accepts a HolderFunctionSpec or a bare callable. Evaluator failures
-    propagate annotated with the offending cell index.
+    Accepts a HolderFunctionSpec or a bare callable. Evaluator failures,
+    and values that are not finite rationals, raise DomainError annotated
+    with the offending cell index.
     """
     evaluator = f.evaluator if isinstance(f, HolderFunctionSpec) else f
     out = []
     for k, point in grid.representatives():
         try:
-            value = evaluator(point)
+            out.append(as_rational(evaluator(point)))
         except Exception as exc:
             raise DomainError(f"target evaluator failed at cell {k} ({point})") from exc
-        out.append(as_rational(value))
     return tuple(out)
 
 

@@ -22,7 +22,7 @@ from .approx import (
     build_approximator,
     bundle_from_network,
 )
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, ParseError
 from .network import (
     ActivationKind, Network, WeightMatrix, WeightSet, _round_binary64, evaluate)
 from .rationals import RationalLike, as_rational, format_rational
@@ -51,7 +51,11 @@ def _const_half(x: Sequence) -> Fraction:
 
 
 def _mean(x: Sequence) -> Fraction:
-    return sum(as_rational(v) for v in x) / len(x)
+    num, den = 0, 1  # the running sum num/den, normalized once at the end
+    for v in x:
+        r = as_rational(v)
+        num, den = num * r.denominator + r.numerator * den, den * r.denominator
+    return Fraction(num, den * len(x))
 
 
 def _maxcoord(x: Sequence) -> Fraction:
@@ -70,13 +74,16 @@ def check_holder(
 ) -> None:
     """Spot-check the claimed inequality |f(x)-f(y)| <= K |x-y|^beta.
 
-    Seeded sample pairs with dyadic coordinates; exact arithmetic when
-    beta = 1 and the evaluator returns rationals, binary64 with a tiny
-    slack otherwise. Raises DomainError on a violated pair. Sampling
-    cannot prove the claim, only catch wrong constants.
+    Seeded sample pairs with dyadic coordinates. When beta = 1 and the
+    evaluator returns rationals, the pair is decided exactly in integers:
+    with fx = a/b, fy = c/e and K = Kn/Kd, |fx-fy| > K*gap/256 is
+    |a*e - c*b| * Kd * 256 > Kn * gap * b * e. Otherwise it is decided in
+    binary64 with a tiny slack. Raises DomainError on a violated pair.
+    Sampling cannot prove the claim, only catch wrong constants.
     """
     rng = random.Random(f"holder:{name}:{spec.d}:{seed}:{pairs}")
     exact = spec.beta == 1
+    K_n, K_d = spec.K.numerator, spec.K.denominator
     K_f, beta_f = float(spec.K), float(spec.beta)
     for _ in range(pairs):
         xi = [rng.randrange(257) for _ in range(spec.d)]
@@ -86,7 +93,9 @@ def check_holder(
         y = [_HOLDER_GRID[i] for i in yi]
         fx, fy = spec.evaluator(x), spec.evaluator(y)
         if exact and isinstance(fx, (int, Fraction)) and isinstance(fy, (int, Fraction)):
-            violated = abs(as_rational(fx) - as_rational(fy)) > spec.K * Fraction(gap, 256)
+            rx, ry = as_rational(fx), as_rational(fy)
+            a, b, c, e = rx.numerator, rx.denominator, ry.numerator, ry.denominator
+            violated = abs(a * e - c * b) * K_d * 256 > K_n * gap * b * e
         else:
             # gap/256 is exact in binary64
             violated = abs(float(fx) - float(fy)) > K_f * (gap / 256) ** beta_f + FLOAT_CHECK_SLACK
@@ -168,6 +177,17 @@ class ErrorReport:
         return self.sup_error + self.holder_slack
 
 
+def _target_ratio(value, x: tuple[Fraction, ...]) -> tuple[int, int]:
+    """The target value ``value`` at ``x`` as (numerator, denominator)."""
+    try:
+        r = as_rational(value)
+    except ParseError as exc:
+        raise DomainError(
+            f"target evaluator failed at point {[format_rational(v) for v in x]}"
+        ) from exc
+    return r.numerator, r.denominator
+
+
 def sup_error(
     obj: Union[ApproximatorBundle, Network],
     f: Union[HolderFunctionSpec, Callable],
@@ -178,12 +198,15 @@ def sup_error(
     """Measured sup distance between a target and an approximator.
 
     Scans the uniform grid with n_per_axis points per axis (endpoints
-    included) and, by default, every cell representative. Differences
-    are computed in exact arithmetic (target values taken at their exact
-    binary64 value when the evaluator returns floats) and reduced to a
-    float only at the end. When a bound is given, ``passed`` records
-    whether the measured sup stayed within it. A scan of more points
-    than QLOWER_CAP raises CapacityError before it starts.
+    included) and, by default, every cell representative. Each point is
+    compared exactly, as a cross-multiplied integer inequality between
+    the target value (a float taken at its exact binary64 value) and its
+    readout entry; the largest difference becomes one Fraction and is
+    reduced to a float only at the end. A target value that is not a
+    finite rational raises DomainError naming the point. When a bound is
+    given, ``passed`` records whether the measured sup stayed within it.
+    A scan of more points than QLOWER_CAP raises CapacityError before it
+    starts.
     """
     if n_per_axis < 2:
         raise DomainError(f"need at least 2 grid points per axis, got {n_per_axis}")
@@ -192,14 +215,24 @@ def sup_error(
     grid, readout = bundle.grid, bundle.readout
     points = n_per_axis ** grid.d + (grid.cell_count if include_representatives else 0)
     _check_cap("scan", "points", "scan fewer points per axis", points)
-    worst = Fraction(-1)
+    # The largest difference so far is worst_n/worst_d, kept unreduced.
+    # With f(x) = a/b and readout[k] = p/q, |a/b - p/q| > worst_n/worst_d
+    # is |a*q - p*b| * worst_d > worst_n * b * q, decided in integers.
+    worst_n, worst_d = -1, 1
     argmax: tuple[Fraction, ...] = ()
 
     def visit(x: tuple[Fraction, ...], k: int) -> None:
-        nonlocal worst, argmax
-        diff = abs(as_rational(evaluator(x)) - readout[k])
-        if diff > worst:
-            worst, argmax = diff, x
+        nonlocal worst_n, worst_d, argmax
+        v = evaluator(x)
+        if type(v) is float and math.isfinite(v):
+            a, b = v.as_integer_ratio()
+        else:
+            a, b = _target_ratio(v, x)
+        c = readout[k]
+        q = c.denominator
+        n = abs(a * q - c.numerator * b)
+        if n * worst_d > worst_n * b * q:
+            worst_n, worst_d, argmax = n, b * q, x
 
     # A point's cell digit along an axis depends only on that coordinate:
     # i/(n-1) lies in cell min(M, floor(i(M+1)/(n-1))), found in integers.
@@ -224,7 +257,7 @@ def sup_error(
         for k, x in grid.representatives():
             visit(x, k)
     bound_f = None if bound is None else float(as_rational(bound))
-    worst_f = float(worst)
+    worst_f = float(Fraction(worst_n, worst_d))
     slack = None
     if isinstance(f, HolderFunctionSpec) and include_representatives:
         slack = float(f.K) * float(grid.spacing) ** float(f.beta)

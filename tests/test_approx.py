@@ -16,6 +16,7 @@ from qlower import (
     DomainError,
     GridSpec,
     HolderFunctionSpec,
+    ParseError,
     build_approximator,
     build_readout,
     build_selector_matrix,
@@ -187,6 +188,13 @@ class TestBuilders:
         with pytest.raises(DomainError) as err:
             build_readout(bad, GridSpec(1, 3))
         assert "cell 2" in str(err.value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, None])
+    def test_readout_locates_a_non_rational_value(self, value):
+        with pytest.raises(DomainError) as err:
+            build_readout(lambda x: value if x[0] >= F(1, 2) else 0.0, GridSpec(1, 3))
+        assert "cell 2" in str(err.value)
+        assert isinstance(err.value.__cause__, ParseError)
 
     @pytest.mark.parametrize("d, M", [(1, 4), (2, 3), (3, 2)])
     def test_readout_follows_axis_order(self, d, M):

@@ -17,6 +17,8 @@ from qlower import (
     ErrorReport,
     HolderFunctionSpec,
     Network,
+    ParseError,
+    QlowerError,
     WeightMatrix,
     WeightSet,
     build_approximator,
@@ -48,6 +50,26 @@ F = Fraction
 def asymmetric(x):
     """(x_1 + 2 x_2 + 3 x_3)^2 on the first len(x) axes: swapping axes changes it."""
     return sum((i + 1) * F(v) for i, v in enumerate(x)) ** 2
+
+
+def sqrt_of_max(x):
+    """sqrt(max x) in binary64: float values."""
+    return math.sqrt(max(float(v) for v in x))
+
+
+def int_valued(x):
+    """floor(7 (x_1 + ... + x_d)): int values."""
+    return math.floor(7 * sum(x))
+
+
+def mixed(x):
+    """``asymmetric`` rounded to a float on the lower half of the last axis."""
+    v = asymmetric(x)
+    return float(v) if x[-1] < F(1, 2) else v
+
+
+SCAN_TARGETS = [asymmetric, sqrt_of_max, int_valued, mixed]
+SCAN_TARGET_IDS = ["fraction", "float", "int", "mixed"]
 
 
 def plain_scan(bundle, f, n_per_axis):
@@ -159,6 +181,69 @@ class TestCheckHolder:
         assert str(err.value).endswith(
             f"x={[format_rational(v) for v in x]}, y={[format_rational(v) for v in y]}")
 
+    @classmethod
+    def reference_violation(cls, spec, pairs, name):
+        """check_holder's message for seed 0 from a plain-Fraction loop, or None."""
+        points = cls.drawn_points(name, spec.d, 0, pairs)
+        for x, y in zip(points[::2], points[1::2]):
+            gap = max(abs(a - b) for a, b in zip(x, y))
+            if abs(F(spec.evaluator(x)) - F(spec.evaluator(y))) > spec.K * gap:
+                return (f"target {name!r} violates its claimed constants at "
+                        f"x={[format_rational(v) for v in x]}, "
+                        f"y={[format_rational(v) for v in y]}")
+        return None
+
+    # (target, d, K, passes): equality on every pair, a non-dyadic K, int
+    # values, and targets mutated past their constant
+    @pytest.mark.parametrize("f, d, K, passes", [
+        (lambda x: F(3, 2) * x[0], 1, F(3, 2), True),
+        (lambda x: 2 * x[0], 1, F(7, 4), False),
+        (lambda x: F(7, 3) * max(x), 2, F(7, 3), True),
+        (lambda x: F(12, 5) * max(x), 2, F(7, 3), False),
+        (lambda x: F(7, 3) * x[0] + (F(1, 100) if x[1] > F(1, 2) else 0), 2, F(7, 3), False),
+        (lambda x: (x[0] + x[1]) / 2 + (F(1, 100) if x[0] > F(1, 2) else 0), 2, 1, False),
+        (lambda x: int(x[0] >= F(1, 2)), 1, 256, True),
+        (lambda x: int(x[0] >= F(1, 2)), 1, 2, False),
+    ])
+    def test_verdict_and_message_match_a_plain_fraction_loop(self, f, d, K, passes):
+        spec = HolderFunctionSpec(f, d, 1, K, 1)
+        want = self.reference_violation(spec, 2000, "probe")
+        assert (want is None) == passes
+        if passes:
+            check_holder(spec, pairs=2000, name="probe")
+        else:
+            with pytest.raises(DomainError) as err:
+                check_holder(spec, pairs=2000, name="probe")
+            assert str(err.value) == want
+
+
+class TestIntegerScanWork:
+    """The scan and the built-in ``mean`` compare and add in integers."""
+
+    @pytest.mark.parametrize("n", [11, 201])
+    def test_float_scan_coerces_only_the_bound(self, monkeypatch, n):
+        spec = builtin_target("root", 2)
+        bundle = build_approximator(spec, F(1, 5))
+        calls = []
+        real = qlower.harness.as_rational
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(qlower.harness, "as_rational", counting)
+        sup_error(bundle, spec, n_per_axis=n, bound=F(1, 5))
+        assert calls == [F(1, 5)]
+
+    @pytest.mark.parametrize("x", [
+        (1,), (0, 1, 1), (0.5, 0.1), ("1/3", "0.3", "2"),
+        (F(1, 3), F(2, 7)), (F(1, 3), 0.25, "5/6", 1, F(-2, 9)),
+    ])
+    def test_mean_matches_fraction_sum(self, x):
+        got = qlower.harness._mean(x)
+        assert type(got) is Fraction
+        assert got == sum(map(Fraction, x)) / len(x)
+
 
 class TestSupError:
     def test_constant_approximator_is_exact(self):
@@ -244,13 +329,45 @@ class TestSupError:
         (2, 3, 9), (2, 7, 5), (2, 4, 8), (3, 2, 4), (3, 1, 6),
     ])
     @pytest.mark.parametrize("representatives", [True, False])
-    def test_report_matches_brute_force_scan(self, d, M, n, representatives):
-        spec = HolderFunctionSpec(asymmetric, d, 1, 36, 36)
+    @pytest.mark.parametrize("f", SCAN_TARGETS, ids=SCAN_TARGET_IDS)
+    def test_report_matches_brute_force_scan(self, d, M, n, representatives, f):
+        spec = HolderFunctionSpec(f, d, 1, 36, 36)
         bundle = build_approximator(spec, 1, M_override=M)
         bound = F(1, 3)
         report = sup_error(bundle, spec, n_per_axis=n, bound=bound,
                            include_representatives=representatives)
         assert report == brute_force_report(bundle, spec, n, bound, representatives)
+
+    @pytest.mark.parametrize("d, eps, n", [
+        (1, F(1, 5), 1001), (1, F(1, 20), 37), (2, F(1, 5), 201), (2, F(1, 10), 31),
+    ])
+    def test_builtin_root_matches_brute_force_scan(self, d, eps, n):
+        spec = builtin_target("root", d)
+        bundle = build_approximator(spec, eps)
+        report = sup_error(bundle, spec, n_per_axis=n, bound=bundle.error_bound)
+        assert report == brute_force_report(bundle, spec, n, bundle.error_bound, True)
+
+    # readouts that are not dyadic, with numerators up to 10^30
+    @pytest.mark.parametrize("readout", [
+        [F(k % 4, 3) for k in range(16)],
+        [F(10**30 + k, 3 * 10**30 + 1) for k in range(16)],
+        [F(1, 3)] * 5 + [F(10**30, 7)] + [F(-1, 3)] * 10,
+    ], ids=["thirds", "wide", "huge"])
+    @pytest.mark.parametrize("f", SCAN_TARGETS, ids=SCAN_TARGET_IDS)
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_hand_built_readout_matches_brute_force_scan(self, readout, f, n):
+        bundle = ApproximatorBundle(GridSpec(2, 3), None, tuple(readout), None, "hand-built")
+        report = sup_error(bundle, f, n_per_axis=n, bound=F(1, 3))
+        assert report == brute_force_report(bundle, f, n, F(1, 3), True)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, None])
+    def test_non_rational_target_value_names_the_point(self, value):
+        bundle = build_approximator(builtin_targets(1)["mean"], F(1, 5))
+        with pytest.raises(QlowerError) as err:
+            sup_error(bundle, lambda x: value if x[0] > F(1, 2) else 0.0, n_per_axis=11)
+        assert type(err.value) is DomainError
+        assert str(err.value) == "target evaluator failed at point ['3/5']"
+        assert isinstance(err.value.__cause__, ParseError)
 
     def test_one_axis_scan_holds_no_per_point_list(self):
         bundle = build_approximator(builtin_targets(1)["mean"], F(1, 5))
