@@ -329,14 +329,14 @@ class TestSupError:
         (2, 3, 9), (2, 7, 5), (2, 4, 8), (3, 2, 4), (3, 1, 6),
     ])
     @pytest.mark.parametrize("representatives", [True, False])
-    @pytest.mark.parametrize("f", SCAN_TARGETS, ids=SCAN_TARGET_IDS)
-    def test_report_matches_brute_force_scan(self, d, M, n, representatives, f):
-        spec = HolderFunctionSpec(f, d, 1, 36, 36)
-        bundle = build_approximator(spec, 1, M_override=M)
+    def test_report_matches_brute_force_scan(self, d, M, n, representatives):
         bound = F(1, 3)
-        report = sup_error(bundle, spec, n_per_axis=n, bound=bound,
-                           include_representatives=representatives)
-        assert report == brute_force_report(bundle, spec, n, bound, representatives)
+        for f in SCAN_TARGETS:  # Fraction, float, int and mixed values
+            spec = HolderFunctionSpec(f, d, 1, 36, 36)
+            bundle = build_approximator(spec, 1, M_override=M)
+            report = sup_error(bundle, spec, n_per_axis=n, bound=bound,
+                               include_representatives=representatives)
+            assert report == brute_force_report(bundle, spec, n, bound, representatives)
 
     @pytest.mark.parametrize("d, eps, n", [
         (1, F(1, 5), 1001), (1, F(1, 20), 37), (2, F(1, 5), 201), (2, F(1, 10), 31),
