@@ -470,7 +470,8 @@ class TestErrorContract:
 
 
 # The README's CLI examples, in order, then one failed check each for
-# approx, equiv and report: (argv, exit code, stdout, stderr).
+# approx, equiv and report, then the same evals and failed equiv under
+# --float: (argv, exit code, stdout, stderr).
 PINNED_RUNS = [
     (("approx", "--target", "mean", "--d", 1, "--eps", "0.25", "--out", "mean.json"), 0,
      '{"command": "approx", "target": "mean", "d": 1, "M": 4, "cells": 5, '
@@ -514,6 +515,15 @@ PINNED_RUNS = [
     (("report", "--targets", "const", "--eps-list", "1/2", "--dims", "x",
       "--csv", "rx.csv"), 1,
      "", '{"error": "DomainError", "message": "dimension must be an integer, got \'x\'"}\n'),
+    (("eval", "--net", "mean.json", "--x", "0.3", "--implicit", "--float"), 0,
+     '{"command": "eval", "mode": "float", "implicit": true, "value": 0.2}\n', ""),
+    (("eval", "--net", "src.json", "--x", "1/3,2/5", "--float"), 0,
+     '{"command": "eval", "mode": "float", "implicit": false, "value": 0.0}\n', ""),
+    (("equiv", "--a", "a.json", "--b", "b.json", "--samples", 64, "--float"), 1,
+     '{"command": "equiv", "input_dim": 1, "samples": 64, "mode": "float", '
+     '"equivalent": false, "max_abs_diff": 0.5, "first_divergence": '
+     '{"point": ["197/256"], "a": ["0.0"], "b": ["0.5"]}}\n',
+     '{"error": "DomainError", "message": "networks differ (max |diff| = 0.5)"}\n'),
 ]
 
 
