@@ -13,8 +13,8 @@ cell m along an axis is [m/(M+1), (m+1)/(M+1)) (the last cell closes at
 m_i/(M+1). Cells are indexed k = sum_i m_i (M+1)^(i-1).
 
 Boundary semantics: points exactly on a threshold belong to the upper
-cell. Evaluation honours this in both modes, because float mode only
-rounds the exact result to binary64.
+cell. Evaluation is exact, so it honours this at every threshold; a
+value printed as binary64 is rounded only after the cell is found.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, DomainError
-from .network import (
-    ActivationKind, Network, WeightMatrix, _check_mode, _in_mode, _round_binary64)
-from .rationals import RationalLike, as_rational, format_rational
+from .network import ActivationKind, Network, WeightMatrix
+from .rationals import RationalLike, as_rational, format_rational, round_binary64
 
 DEFAULT_SELECTOR_CAP = 10**8
 CAP_ENV_VAR = "QLOWER_CAP"
@@ -326,7 +325,7 @@ class HolderFunctionSpec:
 
 def _check_binary64(name: str, value: Fraction) -> None:
     """Refuse a positive value that certificates cannot record as binary64."""
-    rounded = _round_binary64(value)
+    rounded = round_binary64(value)
     if not 0 < rounded < math.inf:
         raise DomainError(
             f"{name} rounds to {rounded} in binary64, so it cannot be recorded; "
@@ -439,15 +438,12 @@ def build_approximator(
     return ApproximatorBundle(grid, eps, build_readout(f, grid), f, note)
 
 
-def evaluate_implicit(bundle: ApproximatorBundle, x: Sequence[RationalLike], mode: str = "exact"):
-    """Look up the readout value of x's cell without the selector matrix.
-
-    Agrees with evaluating the materialized network in either mode. The
-    cell is always resolved by exact comparison on the given coordinates;
-    float mode rounds the readout value as ``evaluate`` does.
-    """
-    _check_mode(mode)
-    return _in_mode((bundle.readout[cell_index(x, bundle.grid)],), mode)[0]
+def evaluate_implicit(bundle: ApproximatorBundle, x: Sequence[RationalLike]) -> Fraction:
+    """Look up the exact readout value of x's cell without the selector
+    matrix. The cell is resolved by exact comparison on the given
+    coordinates, so this agrees with ``evaluate`` on the materialized
+    network."""
+    return bundle.readout[cell_index(x, bundle.grid)]
 
 
 def _require_rows(name: str, mat: WeightMatrix, expected: Callable) -> None:

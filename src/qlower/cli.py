@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .approx import (
@@ -39,7 +38,7 @@ from .lowering import (
     to_unit_weights,
 )
 from .network import WeightSet, evaluate, load_network, save_network, validate
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, format_rational, round_binary64
 
 
 def _rational_arg(text: str):
@@ -91,6 +90,7 @@ def _default_cert_path(out_path: str) -> str:
 
 
 def _mode(args) -> str:
+    """How values print: exact rationals, or binary64 (``--float``)."""
     return "float" if args.float_mode else "exact"
 
 
@@ -188,22 +188,24 @@ def cmd_rescale(args):
 
 
 def _render_value(value, mode: str):
+    """An exact value (or tuple of them) as JSON: rational text, or its
+    binary64 rounding, with "inf" or "-inf" beyond range (JSON has none)."""
     if isinstance(value, tuple):
         return [_render_value(v, mode) for v in value]
     if mode == "exact":
         return format_rational(value)
-    value = float(value)
-    return value if math.isfinite(value) else str(value)  # "inf" or "-inf": JSON has none
+    value = round_binary64(value)
+    return value if math.isfinite(value) else str(value)
 
 
 def cmd_eval(args):
     net = load_network(args.net)
     x = tuple(as_rational(tok) for tok in _split_list(args.x))
-    mode = _mode(args)
     if args.implicit:
-        value = evaluate_implicit(bundle_from_network(net), x, mode)
+        value = evaluate_implicit(bundle_from_network(net), x)
     else:
-        value = evaluate(net, x, mode)
+        value = evaluate(net, x)
+    mode = _mode(args)
     payload = {"command": "eval", "mode": mode, "implicit": args.implicit,
                "value": _render_value(value, mode)}
     return payload, None
@@ -213,10 +215,16 @@ def cmd_equiv(args):
     a = load_network(args.a)
     b = load_network(args.b)
     report = equivalence_check(
-        a, b, n_samples=args.samples, seed=args.seed, mode=_mode(args),
-        tolerance=args.tolerance)
-    payload = {"command": "equiv", **asdict(report),
-               "max_abs_diff": _render_value(report.max_abs_diff, "float")}
+        a, b, n_samples=args.samples, seed=args.seed, tolerance=args.tolerance)
+    mode = _mode(args)
+    first = report.first_divergence
+    if first is not None and mode == "float":
+        first = {**first, **{k: [str(round_binary64(as_rational(v))) for v in first[k]]
+                             for k in ("a", "b")}}
+    payload = {"command": "equiv", "input_dim": report.input_dim,
+               "samples": report.samples, "mode": mode, "equivalent": report.equivalent,
+               "max_abs_diff": _render_value(report.max_abs_diff, "float"),
+               "first_divergence": first}
     if report.equivalent:
         return payload, None
     return payload, f"networks differ (max |diff| = {report.max_abs_diff})"
@@ -258,9 +266,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true",
-                       help="exact rational arithmetic (default)")
+                       help="print exact rationals (default)")
     group.add_argument("--float", dest="float_mode", action="store_true",
-                       help="the exact result rounded to 64-bit floats")
+                       help="print the exact result rounded to 64-bit floats")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,9 +23,8 @@ from .approx import (
     bundle_from_network,
 )
 from .errors import DimensionError, DomainError, ParseError
-from .network import (
-    ActivationKind, Network, WeightMatrix, WeightSet, _round_binary64, evaluate)
-from .rationals import RationalLike, as_rational, format_rational
+from .network import ActivationKind, Network, WeightMatrix, WeightSet, evaluate
+from .rationals import RationalLike, as_rational, format_rational, round_binary64
 
 HOLDER_CHECK_PAIRS = 10_000
 
@@ -202,9 +201,10 @@ def sup_error(
     compared exactly, as a cross-multiplied integer inequality between
     the target value (a float taken at its exact binary64 value) and its
     readout entry; the largest difference becomes one Fraction and is
-    reduced to a float only at the end. A target value that is not a
-    finite rational raises DomainError naming the point. When a bound is
-    given, ``passed`` records whether the measured sup stayed within it.
+    rounded to binary64 only at the end, as is the bound (to an infinity
+    beyond its range). A target value that is not a finite rational
+    raises DomainError naming the point. When a bound is given,
+    ``passed`` records whether the measured sup stayed within it.
     A scan of more points than QLOWER_CAP raises CapacityError before it
     starts.
     """
@@ -256,8 +256,8 @@ def sup_error(
     if include_representatives:
         for k, x in grid.representatives():
             visit(x, k)
-    bound_f = None if bound is None else float(as_rational(bound))
-    worst_f = float(Fraction(worst_n, worst_d))
+    bound_f = None if bound is None else round_binary64(as_rational(bound))
+    worst_f = round_binary64(Fraction(worst_n, worst_d))
     slack = None
     if isinstance(f, HolderFunctionSpec) and include_representatives:
         slack = float(f.K) * float(grid.spacing) ** float(f.beta)
@@ -278,7 +278,6 @@ def sup_error(
 class EquivalenceReport:
     input_dim: int
     samples: int
-    mode: str
     equivalent: bool
     max_abs_diff: float
     first_divergence: Optional[dict]
@@ -293,16 +292,16 @@ def equivalence_check(
     b: Network,
     n_samples: int = 200,
     seed: int = 0,
-    mode: str = "exact",
     tolerance: float = 0.0,
 ) -> EquivalenceReport:
     """Compare two networks on seeded dyadic points of the unit cube.
 
-    Outputs differ where they are more than ``tolerance`` apart, which
-    must be finite and non-negative; exact mode with the default 0
-    demands equal outputs. Float mode compares the exact outputs rounded
-    to binary64. Sampling cannot prove equivalence, only exhibit a
-    divergence.
+    Outputs differ where their exact difference is more than
+    ``tolerance``, which must be finite and non-negative; the default 0
+    demands equal outputs. ``max_abs_diff`` is the largest exact
+    difference rounded once to binary64 (inf beyond its range), and
+    ``first_divergence`` holds exact values as text. Sampling cannot
+    prove equivalence, only exhibit a divergence.
     """
     if a.input_dim != b.input_dim:
         raise DimensionError(
@@ -315,26 +314,25 @@ def equivalence_check(
     if not math.isfinite(tolerance) or tolerance < 0:
         raise DomainError(f"tolerance must be finite and non-negative, got {tolerance}")
     rng = random.Random(seed)
-    worst = 0.0
+    worst = Fraction(0)
     first: Optional[dict] = None
     for _ in range(n_samples):
         x = tuple(Fraction(rng.randrange(257), 256) for _ in range(a.input_dim))
-        va = _as_tuple(evaluate(a, x, mode))
-        vb = _as_tuple(evaluate(b, x, mode))
+        va = _as_tuple(evaluate(a, x))
+        vb = _as_tuple(evaluate(b, x))
         diff = max(abs(p - q) for p, q in zip(va, vb))
-        worst = max(worst, _round_binary64(diff))
+        worst = max(worst, diff)
         if first is None and diff > tolerance:
             first = {
                 "point": [format_rational(v) for v in x],
-                "a": [str(v) for v in va],
-                "b": [str(v) for v in vb],
+                "a": [format_rational(v) for v in va],
+                "b": [format_rational(v) for v in vb],
             }
     return EquivalenceReport(
         input_dim=a.input_dim,
         samples=n_samples,
-        mode=mode,
         equivalent=first is None,
-        max_abs_diff=worst,
+        max_abs_diff=round_binary64(worst),
         first_divergence=first,
     )
 
@@ -400,14 +398,19 @@ def report_rows(
     n_per_axis: int = 101,
 ) -> list[dict]:
     """One row per (target, dimension, epsilon): build the approximator,
-    measure its sup error, and record size and certificate columns."""
+    measure its sup error, and record size and certificate columns.
+
+    Each grid is built before its target is spot-checked, so an over-cap
+    grid raises CapacityError without the spot-check's seconds in high d.
+    """
     rows = []
     names = list(target_names) if target_names else sorted(_BUILTIN)
     for d in dims:
         for name in names:
-            spec = builtin_target(name, d)
+            spec = builtin_spec(name, d)
             for eps in epsilons:
                 bundle = build_approximator(spec, eps)
+                builtin_target(name, d)  # spot-checked once per (name, d)
                 report = sup_error(
                     bundle, spec, n_per_axis=n_per_axis, bound=bundle.error_bound)
                 stats = bundle_stats(bundle)

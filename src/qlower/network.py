@@ -25,15 +25,13 @@ is. Results are expanded back to one value per unit at the output and in
 distinct entry object, not once per entry, and equal entries that share
 one object share one integer in it.
 
-Float mode runs the same exact evaluation and rounds each returned value
-to the nearest binary64 (values beyond its range round to an infinity),
-so it agrees with exact mode at every threshold.
+Every result is exact; a caller that wants binary64 rounds it once, with
+``rationals.round_binary64``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -41,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence, Union
 
-from .errors import DimensionError, DomainError, ParseError
+from .errors import DimensionError, ParseError
 from .rationals import RationalLike, as_rational, format_rational, lcm_denominators
 
 FORMAT_VERSION = 1
@@ -249,27 +247,6 @@ class ValidationReport:
         return self.passed
 
 
-EvalMode = str  # "exact" | "float"
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("exact", "float"):
-        raise DomainError(f"mode must be 'exact' or 'float', got {mode!r}")
-
-
-def _in_mode(values: Sequence[Fraction], mode: EvalMode) -> tuple:
-    """Exact values as returned in ``mode``: as they are, or each rounded
-    to the nearest binary64 (to an infinity beyond its range)."""
-    return tuple(values) if mode == "exact" else tuple(map(_round_binary64, values))
-
-
-def _round_binary64(value: Fraction) -> float:
-    try:
-        return float(value)  # int / int: correctly rounded
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _coerce_input(net: Network, x: Sequence[RationalLike]) -> list[Fraction]:
     if len(x) != net.input_dim:
         raise DimensionError(
@@ -288,7 +265,7 @@ def _forward_exact(net: Network, xs: list[Fraction], want_trace: bool):
     plan = net._plan
     kind = net.activation
     last = len(plan) - 1
-    trace: list[list[Fraction]] = []
+    trace: list[tuple[Fraction, ...]] = []
     for i, layer in enumerate(plan):
         nums = [sum(map(operator.mul, row, nums)) for row in layer.rows]
         den *= layer.scale
@@ -305,37 +282,32 @@ def _forward_exact(net: Network, xs: list[Fraction], want_trace: bool):
     return _expand(out, plan[-1].gather), trace
 
 
-def _expand(values: list, gather: tuple[int, ...] | None) -> list:
-    return values if gather is None else [values[g] for g in gather]
+def _expand(values: list, gather: tuple[int, ...] | None) -> tuple:
+    return tuple(values) if gather is None else tuple(map(values.__getitem__, gather))
 
 
-def evaluate(net: Network, x: Sequence[RationalLike], mode: EvalMode = "exact"):
-    """Evaluate the network at x; scalar when the output has one unit.
+def evaluate(net: Network, x: Sequence[RationalLike]):
+    """Evaluate the network at x exactly: a Fraction when the output has
+    one unit, else a tuple of them.
 
-    All arithmetic is exact, in rationals (floats in x are taken at their
-    exact binary value), so the half-open indicator threshold holds at
-    every boundary point. Float mode returns that exact result rounded to
-    the nearest binary64, an infinity where it is beyond binary64's range.
-    Inputs outside [0,1]^d are evaluated by the same formula, but the
-    lowering and approximation guarantees elsewhere in this package only
-    cover the unit cube.
+    All arithmetic is in rationals (floats in x are taken at their exact
+    binary value), so the half-open indicator threshold holds at every
+    boundary point. Inputs outside [0,1]^d are evaluated by the same
+    formula, but the lowering and approximation guarantees elsewhere in
+    this package only cover the unit cube.
     """
-    _check_mode(mode)
     out, _ = _forward_exact(net, _coerce_input(net, x), want_trace=False)
-    out = _in_mode(out, mode)
     return out[0] if len(out) == 1 else out
 
 
-def forward_trace(net: Network, x: Sequence[RationalLike], mode: EvalMode = "exact"):
-    """Return (post-activation tuples per hidden layer, output).
+def forward_trace(net: Network, x: Sequence[RationalLike]):
+    """Return (exact post-activation tuples per hidden layer, output).
 
     The output collapses to a scalar for one-unit outputs, as in
-    ``evaluate``; float mode rounds trace and output alike.
+    ``evaluate``.
     """
-    _check_mode(mode)
     out, trace = _forward_exact(net, _coerce_input(net, x), want_trace=True)
-    out = _in_mode(out, mode)
-    return [_in_mode(t, mode) for t in trace], (out[0] if len(out) == 1 else out)
+    return trace, (out[0] if len(out) == 1 else out)
 
 
 def validate(net: Network, weight_set: WeightSet) -> ValidationReport:

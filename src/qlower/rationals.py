@@ -2,8 +2,10 @@
 
 Every weight, threshold, and exact value in this package is a
 ``fractions.Fraction``; the stdlib type already guarantees lowest terms
-and a positive denominator. This module owns coercion and the canonical
-text representation: ``"p"`` for integers, ``"p/q"`` otherwise.
+and a positive denominator. This module owns coercion, the canonical
+text representation (``"p"`` for integers, ``"p/q"`` otherwise), and the
+one rounding to binary64, used wherever a value is printed or recorded
+as a float.
 """
 
 from __future__ import annotations
@@ -62,6 +64,14 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def round_binary64(value: Fraction) -> float:
+    """The nearest binary64 to value; an infinity beyond binary64's range."""
+    try:
+        return float(value)  # int / int: correctly rounded
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def lcm_denominators(values: Iterable[Fraction]) -> int:

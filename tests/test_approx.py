@@ -29,6 +29,7 @@ from qlower import (
     evaluate,
     evaluate_implicit,
     forward_trace,
+    round_binary64,
     serialize,
 )
 from qlower.approx import NOTE_CERTIFIED, NOTE_USER_M, selector_cap
@@ -343,8 +344,8 @@ class TestEvaluateImplicit:
 
     def test_float_mode_converts_result(self):
         bundle = build_approximator(linear_spec(), F(1, 5), M_override=4)
-        value = evaluate_implicit(bundle, [0.3], mode="float")
-        assert isinstance(value, float) and value == 0.2
+        value = evaluate_implicit(bundle, [0.3])
+        assert value == F(1, 5) and round_binary64(value) == 0.2
 
 
 class TestCapacityCap:

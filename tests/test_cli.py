@@ -7,7 +7,8 @@ import pytest
 import qlower.approx
 import qlower.harness
 from qlower import (
-    ActivationKind, Network, WeightMatrix, evaluate, load_network, random_network, save_network)
+    ActivationKind, Network, WeightMatrix, evaluate, load_network, random_network,
+    round_binary64, save_network)
 from qlower.cli import main
 
 F = Fraction
@@ -37,6 +38,11 @@ def affine_net(weight):
     """x -> relu(weight * x) as a one-layer network."""
     hidden = WeightMatrix.from_rows([[0, weight]])
     return Network(1, (hidden, WeightMatrix.from_rows([[1]])), ActivationKind.RELU)
+
+
+def line_net(bias, slope):
+    """x -> bias + slope * x, as one affine matrix."""
+    return Network(1, (WeightMatrix.from_rows([[bias, slope]]),), ActivationKind.RELU)
 
 
 @pytest.fixture
@@ -291,6 +297,21 @@ class TestLowerRescaleEquiv:
         assert not payload["equivalent"] and payload["max_abs_diff"] == "inf"
         assert strict_json(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("a_net, b_net", [
+        (line_net(10**400, 1), line_net(10**400, 2)),    # both outputs round to inf
+        (line_net(0, F(1, 3)), line_net(0, F(1, 3) + F(1, 10**30))),  # below an ulp
+    ], ids=["beyond_binary64", "below_an_ulp"])
+    def test_float_verdict_is_the_exact_one(self, capsys, tmp_path, a_net, b_net):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_network(a_net, a)
+        save_network(b_net, b)
+        for flag in ("--float", "--exact"):
+            code, out, err = run(capsys, "equiv", "--a", a, "--b", b, "--samples", 20, flag)
+            payload = strict_json(out)
+            assert code == 1 and not payload["equivalent"], flag
+            assert 0 < payload["max_abs_diff"] <= 1
+            assert strict_json(err)["error"] == "DomainError"
+
     def test_nan_tolerance_is_validation_error(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_network(random_network(random.Random(1), 2, 2, 4), a)
@@ -320,7 +341,19 @@ class TestEval:
         code, payload, _ = run_json(capsys, "eval", "--net", src,
                                     "--x", "1/2,1/2", "--float")
         assert code == 0
-        assert payload["value"] == evaluate(net, (0.5, 0.5), mode="float")
+        assert payload["value"] == round_binary64(evaluate(net, (0.5, 0.5)))
+
+    def test_float_follows_half_open_threshold(self, capsys, tmp_path):
+        # just below the threshold 1/3 of the mean M=2 approximator: cell 0,
+        # whose readout is 0, although x rounds to the binary64 nearest 1/3
+        net = tmp_path / "m2.json"
+        assert run(capsys, "approx", "--target", "mean", "--d", 1, "--eps", "1/2",
+                   "--M", 2, "--out", net)[0] == 0
+        x = f"{10**30 - 3}/{3 * 10**30}"
+        for implicit in ((), ("--implicit",)):
+            code, payload, _ = run_json(capsys, "eval", "--net", net, "--x", x,
+                                        "--float", *implicit)
+            assert code == 0 and payload["value"] == 0.0
 
     def test_float_overflow_prints_inf_string(self, capsys, tmp_path):
         path = tmp_path / "relu2x.json"

@@ -28,9 +28,11 @@ from qlower import (
     cell_index,
     check_holder,
     equivalence_check,
+    evaluate,
     evaluate_implicit,
     random_network,
     report_rows,
+    round_binary64,
     sparsity,
     sup_error,
     ternarize,
@@ -70,6 +72,11 @@ def mixed(x):
 
 SCAN_TARGETS = [asymmetric, sqrt_of_max, int_valued, mixed]
 SCAN_TARGET_IDS = ["fraction", "float", "int", "mixed"]
+
+
+def line(bias, slope):
+    """x -> bias + slope * x, as one affine matrix."""
+    return Network(1, (WeightMatrix.from_rows([[bias, slope]]),), ActivationKind.RELU)
 
 
 def plain_scan(bundle, f, n_per_axis):
@@ -276,6 +283,14 @@ class TestSupError:
         assert report.passed is None and report.theoretical_bound is None
         assert report.holder_slack is None  # bare evaluator carries no constants
 
+    def test_values_beyond_binary64_report_infinity(self):
+        spec = builtin_targets(1)["mean"]
+        bundle = build_approximator(spec, F(1, 2))
+        report = sup_error(bundle, spec, n_per_axis=11, bound=10**400)
+        assert report.theoretical_bound == math.inf and report.passed
+        report = sup_error(bundle, lambda x: 10**400, n_per_axis=11)
+        assert report.sup_error == math.inf and report.argmax_point == (F(0),)
+
     def test_needs_two_points_per_axis(self):
         spec = builtin_targets(1)["mean"]
         bundle = build_approximator(spec, F(1, 2))
@@ -442,17 +457,35 @@ class TestEquivalenceCheck:
 
     def test_float_mode_with_tolerance(self):
         net = random_network(random.Random(6), 2, 2, 4)
-        report = equivalence_check(net, net, mode="float", tolerance=1e-9)
-        assert report.equivalent
+        assert equivalence_check(net, net, tolerance=1e-9).equivalent
+        # a difference of at most 10^-30 is within a tolerance of 10^-9
+        third, near = line(0, F(1, 3)), line(0, F(1, 3) + F(1, 10**30))
+        assert equivalence_check(third, near, tolerance=1e-9).equivalent
 
-    @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_difference_beyond_binary64_is_infinite(self, mode):
+    def test_difference_beyond_binary64_is_infinite(self):
         # x -> 10^400 x against x -> 0: the exact difference has no binary64
-        # value, and rounds to inf as float mode rounds an output.
-        big = Network(1, (WeightMatrix.from_rows([[0, 10**400]]),), ActivationKind.RELU)
-        zero = Network(1, (WeightMatrix.from_rows([[0, 0]]),), ActivationKind.RELU)
-        report = equivalence_check(big, zero, n_samples=3, mode=mode)
+        # value, and rounds to inf.
+        report = equivalence_check(line(0, 10**400), line(0, 0), n_samples=3)
         assert not report.equivalent and report.max_abs_diff == math.inf
+
+    def test_outputs_beyond_binary64_still_differ(self):
+        # Both outputs round to inf, and inf - inf is nan, which no
+        # tolerance comparison catches; the exact difference is x.
+        report = equivalence_check(line(10**400, 1), line(10**400, 2), n_samples=20)
+        assert not report.equivalent and 0 < report.max_abs_diff <= 1
+        first = report.first_divergence
+        x = F(first["point"][0])
+        assert F(first["b"][0]) - F(first["a"][0]) == x > 0
+        assert round_binary64(F(first["a"][0])) == math.inf
+
+    def test_difference_below_an_ulp_is_found(self):
+        # (1/3 + 10^-30) x and x/3 round to the same binary64 at every
+        # sample, but differ exactly wherever x > 0.
+        third, near = line(0, F(1, 3)), line(0, F(1, 3) + F(1, 10**30))
+        report = equivalence_check(third, near, n_samples=20)
+        assert not report.equivalent and 0 < report.max_abs_diff <= 1e-30
+        x = F(report.first_divergence["point"][0])
+        assert round_binary64(evaluate(third, [x])) == round_binary64(evaluate(near, [x]))
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1, -1e-300])
     def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
@@ -460,9 +493,9 @@ class TestEquivalenceCheck:
         # tolerance would make a net differ from itself.
         a = random_network(random.Random(1), 2, 2, 4)
         b = random_network(random.Random(2), 2, 2, 4)
-        for other, mode in ((a, "exact"), (b, "exact"), (b, "float")):
+        for other in (a, b):
             with pytest.raises(DomainError, match="tolerance"):
-                equivalence_check(a, other, mode=mode, tolerance=tolerance)
+                equivalence_check(a, other, tolerance=tolerance)
 
 
 class TestRandomNetwork:
@@ -527,6 +560,16 @@ class TestBundleStatsAndReport:
     def test_unknown_target_rejected(self):
         with pytest.raises(DomainError):
             report_rows([1], ["1/4"], ["nope"])
+
+    def test_over_cap_grid_refused_before_the_spot_check(self, monkeypatch):
+        # 2^200 cells: the 10,000-pair Hoelder spot-check at d=200 would
+        # take seconds before the cap refused the grid
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_holder called")
+
+        monkeypatch.setattr(qlower.harness, "check_holder", refuse)
+        with pytest.raises(CapacityError):
+            report_rows([200], ["1/2"], ["mean"])
 
     def test_csv_layout_and_determinism(self, tmp_path):
         rows = report_rows([1], ["1/4"], ["mean", "maxcoord"], n_per_axis=51)

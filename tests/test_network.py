@@ -28,6 +28,7 @@ from qlower import (
     load_network,
     network_from_dict,
     random_network,
+    round_binary64,
     save_network,
     serialize,
     sparsity,
@@ -214,9 +215,11 @@ class TestActivations:
 
 
 class TestModes:
+    """Results are exact; binary64 is their rounding by round_binary64."""
+
     def test_exact_and_float_agree_on_dyadic_inputs(self):
-        # Float mode is the exact result rounded, so the two agree on
-        # non-dyadic inputs and on lowered nets as well.
+        # The rounding is float() of the exact result wherever that is
+        # finite, on non-dyadic inputs and on lowered nets as well.
         rng = random.Random(11)
         for _ in range(25):
             net = random_network(rng, rng.randint(1, 3), rng.randint(0, 3), 5)
@@ -226,45 +229,45 @@ class TestModes:
             for n in (net, lowered):
                 for x in (dyadic, other):
                     exact = evaluate(n, x)
-                    approx = evaluate(n, x, mode="float")
-                    assert float(exact) == approx
+                    assert type(exact) is Fraction
+                    assert round_binary64(exact) == float(exact)
 
     def test_float_mode_follows_half_open_threshold(self):
         # x lies just below the threshold 1/3 of the mean d=1 approximator
-        # at M=2, so in cell 0, whose readout is 0; float(x) does not.
+        # at M=2, so in cell 0, whose readout is 0; it rounds after that.
         bundle = build_approximator(builtin_target("mean", 1), Fraction(1, 2), M_override=2)
         net = bundle.network
         x = [Fraction(1, 3) - Fraction(1, 10**30)]
-        exact_trace, exact = forward_trace(net, x)
-        assert exact == 0 and evaluate_implicit(bundle, x) == 0
-        assert evaluate(net, x, "float") == float(exact)
-        trace, out = forward_trace(net, x, "float")
-        assert out == float(exact)
-        assert trace == [tuple(map(float, t)) for t in exact_trace]
-        assert evaluate_implicit(bundle, x, "float") == float(exact)
-        assert type(out) is float and type(evaluate_implicit(bundle, x, "float")) is float
+        _, out = forward_trace(net, x)
+        assert out == 0 and evaluate(net, x) == 0 and evaluate_implicit(bundle, x) == 0
+        assert round_binary64(out) == 0.0 and type(round_binary64(out)) is float
 
     def test_float_mode_coerces_inputs_as_exact_mode(self, example_net):
-        assert evaluate(example_net, ["1/3"], "float") == float(evaluate(example_net, ["1/3"]))
+        assert evaluate(example_net, ["1/3"]) == evaluate(example_net, [Fraction(1, 3)])
         for bad in ("abc", float("nan")):
             with pytest.raises(ParseError):
-                evaluate(example_net, [bad], "float")
+                evaluate(example_net, [bad])
             with pytest.raises(ParseError):
-                forward_trace(example_net, [bad], "float")
+                forward_trace(example_net, [bad])
 
     def test_float_mode_overflow_rounds_to_infinity(self):
         double = relu_net(1, [[0, 2]], [[1]])
-        assert evaluate(double, [1e308], "float") == math.inf
-        assert forward_trace(double, [1e308], "float") == ([(math.inf,)], math.inf)
-        assert evaluate(double, [10**400], "float") == math.inf
-        assert evaluate(relu_net(1, [[0, -2]]), [1e308], "float") == -math.inf
+        assert evaluate(double, [1e308]) == 2 * Fraction(1e308)
+        assert round_binary64(evaluate(double, [1e308])) == math.inf
+        trace, out = forward_trace(double, [1e308])
+        assert ([tuple(map(round_binary64, t)) for t in trace], round_binary64(out)) == \
+            ([(math.inf,)], math.inf)
+        assert round_binary64(evaluate(double, [10**400])) == math.inf
+        assert round_binary64(evaluate(relu_net(1, [[0, -2]]), [1e308])) == -math.inf
         # relu(2x) - 2 relu(x) is 0 although relu(2x) is beyond binary64
         cancel = relu_net(1, [[0, 2], [0, 1]], [[1, -2]])
-        assert evaluate(cancel, [1e308], "float") == 0.0
+        assert round_binary64(evaluate(cancel, [1e308])) == 0.0
 
-    def test_bad_mode_rejected(self, example_net):
-        with pytest.raises(Exception):
-            evaluate(example_net, ["1/2"], mode="decimal")
+    def test_multi_unit_output_is_a_tuple(self):
+        net = relu_net(1, [[0, 1], [1, 0]], [[1, 0], [0, 1], [1, 1]])
+        assert evaluate(net, ["1/3"]) == (Fraction(1, 3), 1, Fraction(4, 3))
+        assert type(evaluate(net, ["1/3"])) is tuple
+        assert forward_trace(net, ["1/3"]) == ([(Fraction(1, 3), 1)], evaluate(net, ["1/3"]))
 
 
 class TestValidate:
