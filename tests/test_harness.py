@@ -462,10 +462,12 @@ class TestEquivalenceCheck:
         third, near = line(0, F(1, 3)), line(0, F(1, 3) + F(1, 10**30))
         assert equivalence_check(third, near, tolerance=1e-9).equivalent
 
-    def test_difference_beyond_binary64_is_infinite(self):
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9], ids=["exact", "float"])
+    def test_difference_beyond_binary64_is_infinite(self, tolerance):
         # x -> 10^400 x against x -> 0: the exact difference has no binary64
-        # value, and rounds to inf.
-        report = equivalence_check(line(0, 10**400), line(0, 0), n_samples=3)
+        # value, and rounds to inf; no finite tolerance covers it.
+        report = equivalence_check(line(0, 10**400), line(0, 0), n_samples=3,
+                                   tolerance=tolerance)
         assert not report.equivalent and report.max_abs_diff == math.inf
 
     def test_outputs_beyond_binary64_still_differ(self):
