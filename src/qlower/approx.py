@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DimensionError, DomainError
 from .network import ActivationKind, Network, WeightMatrix
 from .rationals import RationalLike, as_rational, format_rational, round_binary64
 
@@ -79,6 +79,15 @@ class GridSpec:
     def spacing(self) -> Fraction:
         return Fraction(1, self.M + 1)
 
+    @cached_property
+    def place_values(self) -> tuple[int, ...]:
+        """(M+1)^(i-1) for each axis i, so that k = sum_i m_i (M+1)^(i-1)."""
+        return tuple((self.M + 1) ** i for i in range(self.d))
+
+    def digit(self, v: Fraction) -> int:
+        """Cell digit min(M, floor(v(M+1))) of v in [0, 1], in integers."""
+        return min(self.M, v.numerator * (self.M + 1) // v.denominator)
+
     def cell_coords(self, k: int) -> tuple[int, ...]:
         """Digits (m_1, ..., m_d) of cell k in base M+1, axis 1 first."""
         if not 0 <= k < self.cell_count:
@@ -91,18 +100,18 @@ class GridSpec:
         return tuple(out)
 
     def cell_index_of(self, coords: Sequence[int]) -> int:
-        base = self.M + 1
+        if len(coords) != self.d:
+            raise DomainError(f"{len(coords)} cell digits given, grid expects {self.d}")
         k = 0
-        for i, m in enumerate(coords):
+        for m, place in zip(coords, self.place_values):
             if not 0 <= m <= self.M:
                 raise DomainError(f"cell digit {m} out of range [0, {self.M}]")
-            k += m * base**i
+            k += m * place
         return k
 
     def representative(self, k: int) -> tuple[Fraction, ...]:
         """Smallest corner of cell k, coordinates m_i/(M+1)."""
-        base = self.M + 1
-        return tuple(Fraction(m, base) for m in self.cell_coords(k))
+        return tuple(Fraction(m, self.M + 1) for m in self.cell_coords(k))
 
     def representatives(self) -> Iterator[tuple[int, tuple[Fraction, ...]]]:
         """Every (k, representative(k)) in index order, axis 1 varying fastest.
@@ -204,19 +213,18 @@ def _reaches(n: int, q: Fraction, beta: Fraction) -> bool:
 def cell_index(x: Sequence[RationalLike], grid: GridSpec) -> int:
     """Index of the cell containing x, by exact rational comparison.
 
-    Along each axis, m_i counts the thresholds j/(M+1) that x_i meets or
-    exceeds. Floats are taken at their exact binary value.
+    Along each axis, m_i = grid.digit(x_i) counts the thresholds j/(M+1)
+    that x_i meets or exceeds. Floats are taken at their exact binary value.
     """
     if len(x) != grid.d:
         raise DomainError(f"point has {len(x)} coordinates, grid expects {grid.d}")
-    base = grid.M + 1
-    coords = []
-    for i, raw in enumerate(x):
+    k = 0
+    for i, (raw, place) in enumerate(zip(x, grid.place_values)):
         v = as_rational(raw)
         if not ZERO <= v <= ONE:
             raise DomainError(f"coordinate {i} = {raw} lies outside [0, 1]")
-        coords.append(min(grid.M, math.floor(v * base)))
-    return grid.cell_index_of(coords)
+        k += grid.digit(v) * place
+    return k
 
 
 def build_threshold_matrix(grid: GridSpec) -> WeightMatrix:
@@ -235,7 +243,7 @@ def build_threshold_matrix(grid: GridSpec) -> WeightMatrix:
     return WeightMatrix.from_rows(rows)
 
 
-def _check_cap(what: str, unit: str, remedy: str, base: int, exp: int = 1) -> None:
+def check_cap(what: str, unit: str, remedy: str, base: int, exp: int = 1) -> None:
     """Raise CapacityError when `what` needs base**exp `unit`s, more than the cap.
 
     base**exp >= 2^n for n = exp*floor(log2 base). When 2^n already has
@@ -272,7 +280,7 @@ def _selector_tail(grid: GridSpec) -> tuple[int, ...]:
 
     Plain ints, so that comparing parsed Fraction rows against them takes
     Fraction's fast integer path."""
-    return tuple(-((grid.M + 1) ** i) for i in range(grid.d) for _ in range(grid.M))
+    return tuple(-place for place in grid.place_values for _ in range(grid.M))
 
 
 def build_selector_matrix(grid: GridSpec) -> WeightMatrix:
@@ -285,7 +293,7 @@ def build_selector_matrix(grid: GridSpec) -> WeightMatrix:
     """
     cells = grid.cell_count
     width = grid.d * grid.M + 1
-    _check_cap("selector matrix", "entries", "evaluate implicitly instead", cells * width)
+    check_cap("selector matrix", "entries", "evaluate implicitly instead", cells * width)
     tail = tuple(map(Fraction, _selector_tail(grid)))
     entries: list[Fraction] = []
     for r in range(cells):
@@ -332,21 +340,33 @@ def _check_binary64(name: str, value: Fraction) -> None:
             f"give a value within the binary64 range")
 
 
+def read_target(evaluator: Callable, x: Sequence[Fraction], cell: Optional[int] = None):
+    """The target's value at x: a finite float as it is, any other value as
+    an exact Fraction. An evaluator that raises, or a value that is not a
+    finite rational (nan, an infinity, a bool, None), raises DomainError
+    naming the point (and the cell, if given), the error as its cause."""
+    try:
+        value = evaluator(x)
+        return value if type(value) is float and math.isfinite(value) else as_rational(value)
+    except Exception as exc:
+        where = "" if cell is None else f"cell {cell}, "
+        raise DomainError(f"target evaluator failed at {where}point "
+                          f"{[format_rational(v) for v in x]}") from exc
+
+
 def build_readout(f, grid: GridSpec) -> tuple[Fraction, ...]:
     """Target values at all cell representatives, as exact rationals.
 
-    Accepts a HolderFunctionSpec or a bare callable. Evaluator failures,
-    and values that are not finite rationals, raise DomainError annotated
-    with the offending cell index.
+    Accepts a HolderFunctionSpec (on the grid's dimension, else
+    DimensionError) or a bare callable. Each value is read by read_target,
+    whose DomainError names the cell and its representative.
     """
-    evaluator = f.evaluator if isinstance(f, HolderFunctionSpec) else f
-    out = []
-    for k, point in grid.representatives():
-        try:
-            out.append(as_rational(evaluator(point)))
-        except Exception as exc:
-            raise DomainError(f"target evaluator failed at cell {k} ({point})") from exc
-    return tuple(out)
+    if isinstance(f, HolderFunctionSpec):
+        if f.d != grid.d:
+            raise DimensionError(f"target is on [0,1]^{f.d}, the grid on [0,1]^{grid.d}")
+        f = f.evaluator
+    values = (read_target(f, point, cell=k) for k, point in grid.representatives())
+    return tuple(as_rational(v) if type(v) is float else v for v in values)
 
 
 @dataclass(frozen=True)
@@ -432,7 +452,7 @@ def build_approximator(
         grid, note = GridSpec(f.d, choose_resolution(f.K, f.beta, eps)), NOTE_CERTIFIED
     else:
         grid, note = GridSpec(f.d, M_override), NOTE_USER_M
-    _check_cap("readout", "cells", "choose a coarser accuracy", grid.M + 1, grid.d)
+    check_cap("readout", "cells", "choose a coarser accuracy", grid.M + 1, grid.d)
     if not selector_fits(grid):
         note += "; selector left implicit (over the materialization cap)"
     return ApproximatorBundle(grid, eps, build_readout(f, grid), f, note)

@@ -49,10 +49,7 @@ def _rational_arg(text: str):
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    value = _int_arg(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
@@ -84,9 +81,7 @@ def _emit_error(exc: BaseException) -> None:
 
 
 def _default_cert_path(out_path: str) -> str:
-    if out_path.endswith(".json"):
-        return out_path[:-len(".json")] + ".cert.json"
-    return out_path + ".cert.json"
+    return out_path.removesuffix(".json") + ".cert.json"
 
 
 def _mode(args) -> str:
@@ -201,10 +196,7 @@ def _render_value(value, mode: str):
 def cmd_eval(args):
     net = load_network(args.net)
     x = tuple(as_rational(tok) for tok in _split_list(args.x))
-    if args.implicit:
-        value = evaluate_implicit(bundle_from_network(net), x)
-    else:
-        value = evaluate(net, x)
+    value = evaluate_implicit(bundle_from_network(net), x) if args.implicit else evaluate(net, x)
     mode = _mode(args)
     payload = {"command": "eval", "mode": mode, "implicit": args.implicit,
                "value": _render_value(value, mode)}

@@ -18,11 +18,12 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .approx import (
     ApproximatorBundle,
     HolderFunctionSpec,
-    _check_cap,
     build_approximator,
     bundle_from_network,
+    check_cap,
+    read_target,
 )
-from .errors import DimensionError, DomainError, ParseError
+from .errors import DimensionError, DomainError
 from .network import ActivationKind, Network, WeightMatrix, WeightSet, evaluate
 from .rationals import RationalLike, as_rational, format_rational, round_binary64
 
@@ -73,11 +74,12 @@ def check_holder(
 ) -> None:
     """Spot-check the claimed inequality |f(x)-f(y)| <= K |x-y|^beta.
 
-    Seeded sample pairs with dyadic coordinates. When beta = 1 and the
-    evaluator returns rationals, the pair is decided exactly in integers:
-    with fx = a/b, fy = c/e and K = Kn/Kd, |fx-fy| > K*gap/256 is
-    |a*e - c*b| * Kd * 256 > Kn * gap * b * e. Otherwise it is decided in
-    binary64 with a tiny slack. Raises DomainError on a violated pair.
+    Seeded sample pairs with dyadic coordinates, values read by
+    read_target. When beta = 1 and neither value is a float, the pair is
+    decided exactly in integers: with fx = a/b, fy = c/e and K = Kn/Kd,
+    |fx-fy| > K*gap/256 is |a*e - c*b| * Kd * 256 > Kn * gap * b * e.
+    Otherwise it is decided in binary64 with a tiny slack; a difference
+    beyond its range is inf. Raises DomainError on a violated pair.
     Sampling cannot prove the claim, only catch wrong constants.
     """
     rng = random.Random(f"holder:{name}:{spec.d}:{seed}:{pairs}")
@@ -90,14 +92,15 @@ def check_holder(
         gap = max(abs(a - b) for a, b in zip(xi, yi))  # |x-y| is gap/256
         x = [_HOLDER_GRID[i] for i in xi]
         y = [_HOLDER_GRID[i] for i in yi]
-        fx, fy = spec.evaluator(x), spec.evaluator(y)
-        if exact and isinstance(fx, (int, Fraction)) and isinstance(fy, (int, Fraction)):
-            rx, ry = as_rational(fx), as_rational(fy)
-            a, b, c, e = rx.numerator, rx.denominator, ry.numerator, ry.denominator
+        fx, fy = read_target(spec.evaluator, x), read_target(spec.evaluator, y)
+        if exact and type(fx) is not float and type(fy) is not float:
+            a, b, c, e = fx.numerator, fx.denominator, fy.numerator, fy.denominator
             violated = abs(a * e - c * b) * K_d * 256 > K_n * gap * b * e
         else:
-            # gap/256 is exact in binary64
-            violated = abs(float(fx) - float(fy)) > K_f * (gap / 256) ** beta_f + FLOAT_CHECK_SLACK
+            # gap/256 is exact in binary64. Two floats subtract there; any
+            # other pair exactly, rounded once, so no value overflows.
+            diff = fx - fy if type(fx) is type(fy) is float else round_binary64(Fraction(fx) - Fraction(fy))
+            violated = abs(diff) > K_f * (gap / 256) ** beta_f + FLOAT_CHECK_SLACK
         if violated:
             raise DomainError(
                 f"target {name!r} violates its claimed constants at "
@@ -176,17 +179,6 @@ class ErrorReport:
         return self.sup_error + self.holder_slack
 
 
-def _target_ratio(value, x: tuple[Fraction, ...]) -> tuple[int, int]:
-    """The target value ``value`` at ``x`` as (numerator, denominator)."""
-    try:
-        r = as_rational(value)
-    except ParseError as exc:
-        raise DomainError(
-            f"target evaluator failed at point {[format_rational(v) for v in x]}"
-        ) from exc
-    return r.numerator, r.denominator
-
-
 def sup_error(
     obj: Union[ApproximatorBundle, Network],
     f: Union[HolderFunctionSpec, Callable],
@@ -202,19 +194,21 @@ def sup_error(
     the target value (a float taken at its exact binary64 value) and its
     readout entry; the largest difference becomes one Fraction and is
     rounded to binary64 only at the end, as is the bound (to an infinity
-    beyond its range). A target value that is not a finite rational
-    raises DomainError naming the point. When a bound is given,
-    ``passed`` records whether the measured sup stayed within it.
-    A scan of more points than QLOWER_CAP raises CapacityError before it
-    starts.
+    beyond its range). Target values are read by read_target, whose
+    DomainError names the point; a HolderFunctionSpec on another dimension
+    raises DimensionError. When a bound is given, ``passed`` records
+    whether the measured sup stayed within it. A scan of more points than
+    QLOWER_CAP raises CapacityError before it starts.
     """
     if n_per_axis < 2:
         raise DomainError(f"need at least 2 grid points per axis, got {n_per_axis}")
     bundle = obj if isinstance(obj, ApproximatorBundle) else bundle_from_network(obj)
-    evaluator = f.evaluator if isinstance(f, HolderFunctionSpec) else f
     grid, readout = bundle.grid, bundle.readout
+    if isinstance(f, HolderFunctionSpec) and f.d != grid.d:
+        raise DimensionError(f"target is on [0,1]^{f.d}, the approximator on [0,1]^{grid.d}")
+    evaluator = f.evaluator if isinstance(f, HolderFunctionSpec) else f
     points = n_per_axis ** grid.d + (grid.cell_count if include_representatives else 0)
-    _check_cap("scan", "points", "scan fewer points per axis", points)
+    check_cap("scan", "points", "scan fewer points per axis", points)
     # The largest difference so far is worst_n/worst_d, kept unreduced.
     # With f(x) = a/b and readout[k] = p/q, |a/b - p/q| > worst_n/worst_d
     # is |a*q - p*b| * worst_d > worst_n * b * q, decided in integers.
@@ -223,34 +217,28 @@ def sup_error(
 
     def visit(x: tuple[Fraction, ...], k: int) -> None:
         nonlocal worst_n, worst_d, argmax
-        v = evaluator(x)
-        if type(v) is float and math.isfinite(v):
-            a, b = v.as_integer_ratio()
-        else:
-            a, b = _target_ratio(v, x)
+        a, b = read_target(evaluator, x).as_integer_ratio()
         c = readout[k]
         q = c.denominator
         n = abs(a * q - c.numerator * b)
         if n * worst_d > worst_n * b * q:
             worst_n, worst_d, argmax = n, b * q, x
 
-    # A point's cell digit along an axis depends only on that coordinate:
-    # i/(n-1) lies in cell min(M, floor(i(M+1)/(n-1))), found in integers.
-    # Its cell index is the sum of its digits' place values (M+1)^(i-1).
-    # The points are visited in product order, the last axis fastest; that
-    # axis is walked lazily, so a d=1 scan holds no per-point list, and
-    # the d-1 outer axes share one list of (value, digit) pairs.
-    M, last = grid.M, n_per_axis - 1
-
+    # A point's cell digit along an axis depends only on that coordinate,
+    # so each axis value's grid.digit is found once. The points are
+    # visited in product order, the last axis fastest; that axis is walked
+    # lazily, so a d=1 scan holds no per-point list, and the d-1 outer
+    # axes share one list of (value, digit) pairs.
     def walk():
         for i in range(n_per_axis):
-            yield Fraction(i, last), min(M, i * (M + 1) // last)
+            v = Fraction(i, n_per_axis - 1)
+            yield v, grid.digit(v)
 
     outer = list(walk()) if grid.d > 1 else []
-    top = (M + 1) ** (grid.d - 1)
+    *places, top = grid.place_values
     for prefix in itertools.product(outer, repeat=grid.d - 1):
         head = tuple(v for v, _ in prefix)
-        base = sum(m * (M + 1) ** i for i, (_, m) in enumerate(prefix))
+        base = sum(m * place for (_, m), place in zip(prefix, places))
         for v, m in outer or walk():
             visit(head + (v,), base + m * top)
     if include_representatives:
@@ -348,7 +336,6 @@ def random_network(
     max_width: int,
     alphabet: WeightSet = WeightSet.BASE_A,
     density: float = 0.7,
-    output_dim: int = 1,
 ) -> Network:
     """Seeded random ReLU network with weights drawn from the alphabet.
 
@@ -358,11 +345,11 @@ def random_network(
     """
     if alphabet.members() is None:
         raise DomainError("random_network needs a finite alphabet")
-    if depth < 0 or input_dim < 1 or max_width < 1 or output_dim < 1:
+    if depth < 0 or input_dim < 1 or max_width < 1:
         raise DomainError("depth >= 0 and positive dims/widths required")
     nonzero = sorted(v for v in alphabet.members() if v != 0)
     widths = [rng.randint(1, max_width) for _ in range(depth)]
-    dims = [input_dim + 1] + widths + [output_dim]
+    dims = [input_dim + 1] + widths + [1]
     matrices = []
     for layer in range(depth + 1):
         rows, cols = dims[layer + 1], dims[layer]
@@ -435,5 +422,4 @@ def write_report_csv(path: str, rows: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS), lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

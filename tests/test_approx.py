@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import math
 import random
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ import qlower.approx
 from qlower import (
     ApproximatorBundle,
     CapacityError,
+    DimensionError,
     DomainError,
     GridSpec,
     HolderFunctionSpec,
@@ -100,6 +102,22 @@ class TestGridSpec:
     def test_representative_is_smallest_corner(self):
         grid = GridSpec(2, 2)
         assert grid.representative(7) == (F(1, 3), F(2, 3))
+
+    def test_place_values_are_powers_of_the_base(self):
+        assert GridSpec(3, 4).place_values == (1, 5, 25)
+
+    @pytest.mark.parametrize("coords", [(1,), (1, 0, 0)])
+    def test_digits_of_another_length_rejected(self, coords):
+        with pytest.raises(DomainError, match="grid expects 2"):
+            GridSpec(2, 2).cell_index_of(coords)
+
+    @given(st.integers(min_value=1, max_value=40),
+           st.fractions(min_value=0, max_value=1))
+    def test_digit_is_the_half_open_floor(self, M, v):
+        grid = GridSpec(1, M)
+        m = grid.digit(v)
+        assert m == min(M, math.floor(v * (M + 1)))
+        assert F(m, M + 1) <= v and (v < F(m + 1, M + 1) or m == M)
 
     @pytest.mark.parametrize("d, M", [(0, 1), (1, 0), (-1, 3)])
     def test_invalid_parameters(self, d, M):
@@ -196,6 +214,15 @@ class TestBuilders:
             build_readout(lambda x: value if x[0] >= F(1, 2) else 0.0, GridSpec(1, 3))
         assert "cell 2" in str(err.value)
         assert isinstance(err.value.__cause__, ParseError)
+
+    def test_readout_message_prints_the_point_as_text(self):
+        with pytest.raises(DomainError) as err:
+            build_readout(lambda x: None, GridSpec(2, 2))
+        assert str(err.value) == "target evaluator failed at cell 0, point ['0', '0']"
+
+    def test_readout_refuses_a_target_on_another_dimension(self):
+        with pytest.raises(DimensionError, match=r"target is on \[0,1\]\^1, the grid on \[0,1\]\^2"):
+            build_readout(builtin_target("mean", 1), GridSpec(2, 2))
 
     @pytest.mark.parametrize("d, M", [(1, 4), (2, 3), (3, 2)])
     def test_readout_follows_axis_order(self, d, M):

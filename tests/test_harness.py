@@ -22,6 +22,7 @@ from qlower import (
     WeightMatrix,
     WeightSet,
     build_approximator,
+    build_readout,
     build_selector_matrix,
     builtin_target,
     builtin_targets,
@@ -413,6 +414,75 @@ class TestSupError:
         monkeypatch.undo()
         monkeypatch.setenv("QLOWER_CAP", "121")
         sup_error(bundle, spec, n_per_axis=11, include_representatives=False)
+
+    def test_target_on_another_dimension_refused(self):
+        bundle = build_approximator(builtin_targets(2)["mean"], F(1, 5))
+        with pytest.raises(DimensionError, match=r"target is on \[0,1\]\^1"):
+            sup_error(bundle, builtin_target("mean", 1), bound=F(1, 5))
+
+
+def raising(x):
+    raise ValueError("boom")
+
+
+# name -> (evaluator, whether its values are accepted)
+HOSTILE = {
+    "raises": (raising, False),
+    "nan": (lambda x: math.nan, False),
+    "inf": (lambda x: math.inf, False),
+    "None": (lambda x: None, False),
+    "True": (lambda x: True, False),
+    "string": (lambda x: "1/2", True),
+    "overflow": (lambda x: 10**400 * x[0], True),
+}
+
+# every function that reads a target
+READERS = {
+    "build_readout": lambda f: build_readout(f, GridSpec(1, 3)),
+    "sup_error": lambda f: sup_error(
+        ApproximatorBundle(GridSpec(1, 3), None, (F(0),) * 4, None, "zeros"), f, n_per_axis=5),
+    "check_holder-beta-1": lambda f: check_holder(HolderFunctionSpec(f, 1, 1, 1, 1), pairs=200),
+    "check_holder-beta-1/2": lambda f: check_holder(
+        HolderFunctionSpec(f, 1, F(1, 2), 1, 1), pairs=200),
+}
+
+
+class TestHostileEvaluators:
+    """build_readout, sup_error and check_holder read a target one way."""
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("value", HOSTILE)
+    def test_readers_accept_and_refuse_alike(self, reader, value):
+        f, accepted = HOSTILE[value]
+        try:
+            READERS[reader](f)
+        except DomainError as exc:
+            # an accepted value can only be refuted as a Hoelder claim
+            failed = str(exc).startswith("target evaluator failed at ")
+            assert failed != accepted
+            assert (exc.__cause__ is not None) == failed
+        else:
+            assert accepted
+
+    @pytest.mark.parametrize("beta", [1, F(1, 2)], ids=["1", "1/2"])
+    def test_values_beyond_binary64_decided_exactly(self, beta):
+        check_holder(HolderFunctionSpec(lambda x: 10**400 + x[0], 1, beta, 1, 1), pairs=500)
+        for f in (lambda x: 10**400 + 2 * x[0],
+                  lambda x: 0.5 if x[0] < F(1, 2) else F(10**400)):  # float against Fraction
+            with pytest.raises(DomainError, match="violates"):
+                check_holder(HolderFunctionSpec(f, 1, beta, 1, 1), pairs=500)
+
+    def test_rational_strings_checked_exactly(self):
+        check_holder(HolderFunctionSpec(lambda x: format_rational(x[0] / 3), 1, 1, F(1, 3), 1))
+        with pytest.raises(DomainError, match="violates"):
+            check_holder(HolderFunctionSpec(lambda x: format_rational(x[0]), 1, 1, F(1, 3), 1))
+
+    def test_message_prints_the_point(self):
+        spec = HolderFunctionSpec(lambda x: None if x[0] == F(1, 2) else x[0], 1, 1, 1, 1)
+        with pytest.raises(DomainError) as err:
+            check_holder(spec, name="probe")
+        assert str(err.value) == "target evaluator failed at point ['1/2']"
+        assert isinstance(err.value.__cause__, ParseError)
 
 
 class TestEquivalenceCheck:

@@ -26,3 +26,13 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_imported_from_another_module(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "qlower")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
