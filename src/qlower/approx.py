@@ -302,6 +302,20 @@ def build_selector_matrix(grid: GridSpec) -> WeightMatrix:
     return WeightMatrix(cells, width, tuple(entries))
 
 
+def bundle_stats(bundle: ApproximatorBundle) -> dict:
+    """Depth, width vector, and nonzero count of the network that the two
+    builders above and the readout assemble, computed from the grid and
+    readout without materializing anything."""
+    d, M = bundle.grid.d, bundle.grid.M
+    cells = bundle.grid.cell_count
+    nnz = 2 * d * M + (cells - 1) + cells * d * M + sum(1 for v in bundle.readout if v)
+    return {
+        "depth": 2,
+        "widths": (d + 1, d * M + 1, cells, 1),
+        "sparsity": nnz,
+    }
+
+
 @dataclass(frozen=True)
 class HolderFunctionSpec:
     """A target on [0,1]^d with claimed Hoelder data |f(x)-f(y)| <= K|x-y|^beta.

@@ -213,8 +213,8 @@ def cmd_equiv(args):
     if first is not None and mode == "float":
         first = {**first, **{k: [str(round_binary64(as_rational(v))) for v in first[k]]
                              for k in ("a", "b")}}
-    payload = {"command": "equiv", "input_dim": report.input_dim,
-               "samples": report.samples, "mode": mode, "equivalent": report.equivalent,
+    payload = {"command": "equiv", "input_dim": a.input_dim,
+               "samples": args.samples, "mode": mode, "equivalent": report.equivalent,
                "max_abs_diff": _render_value(report.max_abs_diff, "float"),
                "first_divergence": first}
     if report.equivalent:

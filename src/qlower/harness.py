@@ -20,6 +20,7 @@ from .approx import (
     HolderFunctionSpec,
     build_approximator,
     bundle_from_network,
+    bundle_stats,
     check_cap,
     read_target,
 )
@@ -79,9 +80,12 @@ def check_holder(
     decided exactly in integers: with fx = a/b, fy = c/e and K = Kn/Kd,
     |fx-fy| > K*gap/256 is |a*e - c*b| * Kd * 256 > Kn * gap * b * e.
     Otherwise it is decided in binary64 with a tiny slack; a difference
-    beyond its range is inf. Raises DomainError on a violated pair.
-    Sampling cannot prove the claim, only catch wrong constants.
+    beyond its range is inf. Raises DomainError on a violated pair, and
+    on fewer than 1 pair. Sampling cannot prove the claim, only catch
+    wrong constants.
     """
+    if pairs < 1:
+        raise DomainError(f"need at least 1 pair, got {pairs}")
     rng = random.Random(f"holder:{name}:{spec.d}:{seed}:{pairs}")
     exact = spec.beta == 1
     K_n, K_d = spec.K.numerator, spec.K.denominator
@@ -158,25 +162,12 @@ def builtin_targets(d: int) -> dict[str, HolderFunctionSpec]:
 @dataclass(frozen=True)
 class ErrorReport:
     """``sup_error`` is a maximum over finitely many scanned points, so a
-    lower bound on the true sup."""
+    lower bound on the true sup. ``passed`` compares it with the given
+    bound, both rounded to binary64; it is None when no bound was given."""
 
     sup_error: float
     argmax_point: tuple[Fraction, ...]
-    theoretical_bound: Optional[float]
     passed: Optional[bool]
-    holder_slack: Optional[float] = None
-
-    @property
-    def sup_upper_bound(self) -> Optional[float]:
-        """measured + K*(cell spacing)^beta: an upper bound on the true sup.
-
-        Valid because every cell representative was scanned, so any x
-        shares its cell (hence its approximator value) with a scanned
-        point at distance below the cell spacing.
-        """
-        if self.holder_slack is None:
-            return None
-        return self.sup_error + self.holder_slack
 
 
 def sup_error(
@@ -195,10 +186,11 @@ def sup_error(
     readout entry; the largest difference becomes one Fraction and is
     rounded to binary64 only at the end, as is the bound (to an infinity
     beyond its range). Target values are read by read_target, whose
-    DomainError names the point; a HolderFunctionSpec on another dimension
-    raises DimensionError. When a bound is given, ``passed`` records
-    whether the measured sup stayed within it. A scan of more points than
-    QLOWER_CAP raises CapacityError before it starts.
+    DomainError names the point. Of a HolderFunctionSpec only the
+    dimension (another one raises DimensionError) and the evaluator are
+    read. When a bound is given, ``passed`` records whether the measured
+    sup stayed within it. A scan of more points than QLOWER_CAP raises
+    CapacityError before it starts.
     """
     if n_per_axis < 2:
         raise DomainError(f"need at least 2 grid points per axis, got {n_per_axis}")
@@ -244,18 +236,9 @@ def sup_error(
     if include_representatives:
         for k, x in grid.representatives():
             visit(x, k)
-    bound_f = None if bound is None else round_binary64(as_rational(bound))
     worst_f = round_binary64(Fraction(worst_n, worst_d))
-    slack = None
-    if isinstance(f, HolderFunctionSpec) and include_representatives:
-        slack = float(f.K) * float(grid.spacing) ** float(f.beta)
-    return ErrorReport(
-        sup_error=worst_f,
-        argmax_point=argmax,
-        theoretical_bound=bound_f,
-        passed=None if bound_f is None else worst_f <= bound_f,
-        holder_slack=slack,
-    )
+    passed = None if bound is None else worst_f <= round_binary64(as_rational(bound))
+    return ErrorReport(sup_error=worst_f, argmax_point=argmax, passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +247,6 @@ def sup_error(
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    input_dim: int
-    samples: int
     equivalent: bool
     max_abs_diff: float
     first_divergence: Optional[dict]
@@ -317,8 +298,6 @@ def equivalence_check(
                 "b": [format_rational(v) for v in vb],
             }
     return EquivalenceReport(
-        input_dim=a.input_dim,
-        samples=n_samples,
         equivalent=first is None,
         max_abs_diff=round_binary64(worst),
         first_divergence=first,
@@ -365,19 +344,6 @@ def random_network(
 # CSV report
 
 
-def bundle_stats(bundle: ApproximatorBundle) -> dict:
-    """Depth, width vector, and nonzero count of the assembled network,
-    computed from the grid and readout without materializing anything."""
-    d, M = bundle.grid.d, bundle.grid.M
-    cells = bundle.grid.cell_count
-    nnz = 2 * d * M + (cells - 1) + cells * d * M + sum(1 for v in bundle.readout if v)
-    return {
-        "depth": 2,
-        "widths": (d + 1, d * M + 1, cells, 1),
-        "sparsity": nnz,
-    }
-
-
 def report_rows(
     dims: Sequence[int],
     epsilons: Sequence[RationalLike],
@@ -412,7 +378,7 @@ def report_rows(
                     "widths": "x".join(str(w) for w in stats["widths"]),
                     "sparsity": stats["sparsity"],
                     "sup_error": repr(report.sup_error),
-                    "bound": repr(report.theoretical_bound),
+                    "bound": repr(bundle.error_bound),
                     "pass": report.passed,
                 })
     return rows

@@ -214,17 +214,6 @@ def _require_lowerable(net: Network, alphabet: WeightSet, pass_name: str) -> Non
         )
 
 
-def _pad_linear_source(net: Network) -> Network:
-    # A depth-0 source has no hidden layer to duplicate; insert an identity
-    # ReLU layer (weight 1 on the diagonal, exact on the nonnegative cube
-    # inputs) so the duplication scheme below applies unchanged.
-    n = net.input_dim + 1
-    eye = WeightMatrix.from_rows(
-        [[Fraction(1) if c == r else ZERO for c in range(n)] for r in range(n)]
-    )
-    return Network(net.input_dim, (eye,) + net.matrices, net.activation, net.output_scale)
-
-
 def _duplicate_body(
     matrices: tuple[WeightMatrix, ...],
     copies: int,
@@ -278,17 +267,15 @@ def ternarize(net: Network) -> tuple[Network, LoweringCertificate]:
     Adds the two-layer duplication prefix and quadruplicates every
     hidden unit; depth grows by exactly 2, the width at most 4x, and the
     nonzero count is bounded by 16*s + 20*(d+1). The result computes the
-    same function at every point of [0,1]^d. Depth-0 sources are first
-    padded with an identity hidden layer (the certificate reports the
-    padded source).
+    same function at every point of [0,1]^d. A depth-0 source has only
+    its output matrix, which reads the prefix's copies directly.
     """
     _require_lowerable(net, WeightSet.BASE_A, "ternarize")
-    src = net if net.depth >= 1 else _pad_linear_source(net)
-    prefix = ternary_prefix(src.input_dim)
-    body = _duplicate_body(src.matrices, 4, decompose_ternary)
-    lowered = Network(src.input_dim, prefix.matrices + tuple(body), ActivationKind.RELU)
-    bound = 16 * sparsity(src).total_nonzero + 20 * (src.input_dim + 1)
-    cert = _certificate(src, lowered, WeightSet.TERNARY_HALF, 4, bound)
+    prefix = ternary_prefix(net.input_dim)
+    body = _duplicate_body(net.matrices, 4, decompose_ternary)
+    lowered = Network(net.input_dim, prefix.matrices + tuple(body), ActivationKind.RELU)
+    bound = 16 * sparsity(net).total_nonzero + 20 * (net.input_dim + 1)
+    cert = _certificate(net, lowered, WeightSet.TERNARY_HALF, 4, bound)
     return lowered, cert
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -14,6 +15,7 @@ from qlower import (
     CapacityError,
     DimensionError,
     DomainError,
+    EquivalenceReport,
     ErrorReport,
     HolderFunctionSpec,
     Network,
@@ -41,9 +43,9 @@ from qlower import (
     validate,
     write_report_csv,
 )
-from qlower.approx import GridSpec
+from qlower.approx import GridSpec, bundle_stats
 from qlower.rationals import format_rational
-from qlower.harness import CSV_COLUMNS, bundle_stats
+from qlower.harness import CSV_COLUMNS
 
 from conftest import forbid_selector_builds
 
@@ -108,12 +110,8 @@ def brute_force_report(bundle, f, n_per_axis, bound, representatives):
         diff = abs(F(evaluator(x)) - bundle.readout[cell_index(x, grid)])
         if diff > worst:
             worst, argmax = diff, x
-    bound_f = None if bound is None else float(bound)
-    slack = None
-    if isinstance(f, HolderFunctionSpec) and representatives:
-        slack = float(f.K) * float(grid.spacing) ** float(f.beta)
-    return ErrorReport(float(worst), argmax, bound_f,
-                       None if bound is None else float(worst) <= bound_f, slack)
+    return ErrorReport(float(worst), argmax,
+                       None if bound is None else float(worst) <= float(bound))
 
 
 class TestBuiltinTargets:
@@ -224,6 +222,13 @@ class TestCheckHolder:
                 check_holder(spec, pairs=2000, name="probe")
             assert str(err.value) == want
 
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_fewer_than_one_pair_refused(self, pairs):
+        # 10x violates K = 1 on almost every pair, yet no pairs would find none
+        spec = HolderFunctionSpec(lambda x: 10 * x[0], 1, 1, 1, 1)
+        with pytest.raises(DomainError, match="at least 1 pair"):
+            check_holder(spec, pairs=pairs)
+
 
 class TestIntegerScanWork:
     """The scan and the built-in ``mean`` compare and add in integers."""
@@ -268,8 +273,6 @@ class TestSupError:
         assert report.sup_error == pytest.approx(1 / 6)
         assert report.argmax_point == (F(1),)
         assert report.passed
-        assert report.holder_slack == pytest.approx(1 / 6)
-        assert report.sup_upper_bound == pytest.approx(1 / 3)
 
     def test_maxcoord_two_dimensional(self):
         spec = builtin_targets(2)["maxcoord"]
@@ -281,14 +284,13 @@ class TestSupError:
         spec = builtin_targets(1)["mean"]
         bundle = build_approximator(spec, F(1, 5))
         report = sup_error(bundle, spec.evaluator, n_per_axis=11)
-        assert report.passed is None and report.theoretical_bound is None
-        assert report.holder_slack is None  # bare evaluator carries no constants
+        assert report.passed is None
 
     def test_values_beyond_binary64_report_infinity(self):
         spec = builtin_targets(1)["mean"]
         bundle = build_approximator(spec, F(1, 2))
         report = sup_error(bundle, spec, n_per_axis=11, bound=10**400)
-        assert report.theoretical_bound == math.inf and report.passed
+        assert report.passed
         report = sup_error(bundle, lambda x: 10**400, n_per_axis=11)
         assert report.sup_error == math.inf and report.argmax_point == (F(0),)
 
@@ -485,6 +487,18 @@ class TestHostileEvaluators:
         assert isinstance(err.value.__cause__, ParseError)
 
 
+class TestReportFields:
+    """A report holds what its check found, not the inputs it was given."""
+
+    def test_error_report_fields(self):
+        assert [f.name for f in dataclasses.fields(ErrorReport)] == [
+            "sup_error", "argmax_point", "passed"]
+
+    def test_equivalence_report_fields(self):
+        assert [f.name for f in dataclasses.fields(EquivalenceReport)] == [
+            "equivalent", "max_abs_diff", "first_divergence"]
+
+
 class TestEquivalenceCheck:
     def test_network_equals_itself(self):
         net = random_network(random.Random(1), 2, 2, 4)
@@ -632,6 +646,11 @@ class TestBundleStatsAndReport:
     def test_unknown_target_rejected(self):
         with pytest.raises(DomainError):
             report_rows([1], ["1/4"], ["nope"])
+
+    def test_bound_column_is_the_bundle_bound(self):
+        bundle = build_approximator(builtin_targets(1)["mean"], F(1, 5))
+        row = report_rows([1], ["1/5"], ["mean"], n_per_axis=11)[0]
+        assert row["bound"] == repr(bundle.error_bound) == "0.16666666666666666"
 
     def test_over_cap_grid_refused_before_the_spot_check(self, monkeypatch):
         # 2^200 cells: the 10,000-pair Hoelder spot-check at d=200 would

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -152,13 +153,26 @@ class TestTernarize:
         for x in GRID_1D:
             assert evaluate(lowered, [x]) == evaluate(example_net, [x])
 
-    def test_depth_zero_source_padded_with_identity(self, identity_net):
+    def test_depth_zero_source_gains_two_layers(self, identity_net):
         lowered, cert = ternarize(identity_net)
         for x in GRID_1D:
             assert evaluate(lowered, [x]) == x
-        # The certificate reports the padded (depth-1) source.
-        assert cert.source_depth == 1
-        assert lowered.depth == 3
+        # The certificate reports the given (depth-0) source.
+        assert cert.source_depth == 0 and cert.passed
+        assert lowered.depth == 2
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_depth_zero_nets_lower_exactly(self, d):
+        rng = random.Random(f"depth0:{d}")
+        grid = [tuple(Fraction(i, 3) for i in p) for p in itertools.product(range(4), repeat=d)]
+        for _ in range(10):
+            net = random_network(rng, d, 0, 1)
+            tern, tern_cert = ternarize(net)
+            binr, bin_cert = binarize(tern)
+            assert (tern.depth, binr.depth) == (2, 5)
+            assert tern_cert.passed and bin_cert.passed
+            for x in grid:
+                assert evaluate(tern, x) == evaluate(binr, x) == evaluate(net, x)
 
     def test_random_base_nets_equivalent(self):
         rng = random.Random(403)
