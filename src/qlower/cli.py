@@ -211,7 +211,11 @@ def cmd_equiv(args):
     mode = _mode(args)
     first = report.first_divergence
     if first is not None and mode == "float":
-        first = {**first, **{k: [str(round_binary64(as_rational(v))) for v in first[k]]
+        # An output whose two binary64 texts agree prints its exact text on
+        # both sides, so outputs that differ never read alike.
+        rounded = {k: [str(round_binary64(as_rational(v))) for v in first[k]] for k in ("a", "b")}
+        same = [p == q for p, q in zip(rounded["a"], rounded["b"])]
+        first = {**first, **{k: [e if s else r for e, r, s in zip(first[k], rounded[k], same)]
                              for k in ("a", "b")}}
     payload = {"command": "equiv", "input_dim": a.input_dim,
                "samples": args.samples, "mode": mode, "equivalent": report.equivalent,

@@ -25,7 +25,7 @@ from .approx import (
     read_target,
 )
 from .errors import DimensionError, DomainError
-from .network import ActivationKind, Network, WeightMatrix, WeightSet, evaluate
+from .network import ActivationKind, Network, WeightMatrix, WeightSet, forward_integers
 from .rationals import RationalLike, as_rational, format_rational, round_binary64
 
 HOLDER_CHECK_PAIRS = 10_000
@@ -252,10 +252,6 @@ class EquivalenceReport:
     first_divergence: Optional[dict]
 
 
-def _as_tuple(value) -> tuple:
-    return value if isinstance(value, tuple) else (value,)
-
-
 def equivalence_check(
     a: Network,
     b: Network,
@@ -267,10 +263,13 @@ def equivalence_check(
 
     Outputs differ where their exact difference is more than
     ``tolerance``, which must be finite and non-negative; the default 0
-    demands equal outputs. ``max_abs_diff`` is the largest exact
-    difference rounded once to binary64 (inf beyond its range), and
-    ``first_divergence`` holds exact values as text. Sampling cannot
-    prove equivalence, only exhibit a divergence.
+    demands equal outputs. Both nets run in integers on the point k/256
+    through ``forward_integers``, and each comparison is decided by
+    cross-multiplied integers, as in ``sup_error``: no value is built for a
+    sample. ``max_abs_diff`` is the largest exact difference rounded once
+    to binary64 (inf beyond its range), and ``first_divergence`` holds
+    exact values as text. Sampling cannot prove equivalence, only exhibit
+    a divergence.
     """
     if a.input_dim != b.input_dim:
         raise DimensionError(
@@ -282,24 +281,28 @@ def equivalence_check(
         raise DomainError(f"need at least 1 sample, got {n_samples}")
     if not math.isfinite(tolerance) or tolerance < 0:
         raise DomainError(f"tolerance must be finite and non-negative, got {tolerance}")
+    tol_n, tol_d = Fraction(tolerance).as_integer_ratio()
     rng = random.Random(seed)
-    worst = Fraction(0)
+    # The largest difference so far is worst_n/worst_d. With outputs p/da
+    # and q/db, |p/da - q/db| is |p*db - q*da| / (da*db).
+    worst_n, worst_d = 0, 1
     first: Optional[dict] = None
     for _ in range(n_samples):
-        x = tuple(Fraction(rng.randrange(257), 256) for _ in range(a.input_dim))
-        va = _as_tuple(evaluate(a, x))
-        vb = _as_tuple(evaluate(b, x))
-        diff = max(abs(p - q) for p, q in zip(va, vb))
-        worst = max(worst, diff)
-        if first is None and diff > tolerance:
+        ks = [rng.randrange(257) for _ in range(a.input_dim)]
+        pa, da = forward_integers(a, [256, *ks], 256)
+        pb, db = forward_integers(b, [256, *ks], 256)
+        n, nd = max(abs(p * db - q * da) for p, q in zip(pa, pb)), da * db
+        if n * worst_d > worst_n * nd:
+            worst_n, worst_d = n, nd
+        if first is None and n * tol_d > tol_n * nd:
             first = {
-                "point": [format_rational(v) for v in x],
-                "a": [format_rational(v) for v in va],
-                "b": [format_rational(v) for v in vb],
+                "point": [format_rational(Fraction(k, 256)) for k in ks],
+                "a": [format_rational(Fraction(p, da)) for p in pa],
+                "b": [format_rational(Fraction(q, db)) for q in pb],
             }
     return EquivalenceReport(
         equivalent=first is None,
-        max_abs_diff=round_binary64(worst),
+        max_abs_diff=round_binary64(Fraction(worst_n, worst_d)),
         first_divergence=first,
     )
 

@@ -23,6 +23,7 @@ Hoelder approximator needs before and after lowering.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .network import (
     Network,
     WeightMatrix,
     WeightSet,
+    by_id,
     sparsity,
     validate,
 )
@@ -224,19 +226,19 @@ def _duplicate_body(
     Unit u's copies all carry u's pre-activation, so ReLU commutes with
     duplication; each weight w from u to v becomes split(w) spread across
     u's copies, repeated for every copy of v. The final matrix keeps the
-    original output units un-duplicated.
+    original output units un-duplicated. Each distinct entry object is
+    split once, and its parts are shared by every entry it fills.
     """
     out = []
     last = len(matrices) - 1
     for i, mat in enumerate(matrices):
         dup_out = 1 if i == last else copies
-        rows = []
+        parts = {k: split(e) for k, e in by_id(mat.entries).items()}
+        entries: list[Fraction] = []
         for r in range(mat.rows):
-            row: list[Fraction] = []
-            for c in range(mat.cols):
-                row.extend(split(mat.entry(r, c)))
-            rows.extend([row] * dup_out)
-        out.append(WeightMatrix.from_rows(rows))
+            row = tuple(itertools.chain.from_iterable(map(parts.__getitem__, map(id, mat.row(r)))))
+            entries.extend(row * dup_out)
+        out.append(WeightMatrix(mat.rows * dup_out, mat.cols * copies, tuple(entries)))
     return out
 
 

@@ -10,20 +10,24 @@ shift vectors. Networks are immutable; evaluation, validation, counting,
 and serialization are pure functions, so any number of concurrent
 readers is safe.
 
-Exact evaluation never touches floats: each layer is computed in integer
-arithmetic over a running common denominator, which avoids per-operation
-gcd reduction and is exact for arbitrary rational weights and inputs.
+Exact evaluation never touches floats. One loop, ``forward_integers``,
+computes each layer in integers over a running common denominator, which
+avoids per-operation gcd reduction and is exact for arbitrary rational
+weights and inputs. ``evaluate`` and ``forward_trace`` wrap it, and
+``harness.equivalence_check`` calls it directly on integer points.
 
 It runs on a row-quotient plan that each network builds once, on first
 use. Units whose rows are identical compute identical values, so every
 layer keeps only its distinct rows, and the next layer sums the columns
-of the units it merged before its own rows are compared. The lowering
-passes duplicate every hidden unit, so a lowered net shrinks back to
-about its source's widths; a net with no repeated row is evaluated as it
-is. Results are expanded back to one value per unit at the output and in
-``forward_trace``, so the plan changes no value. The plan is built once per
-distinct entry object, not once per entry, and equal entries that share
-one object share one integer in it.
+of the units it merged, once per distinct row, before its own rows are
+compared. The lowering passes duplicate every hidden unit, so a lowered
+net shrinks back to about its source's widths; a net with no repeated row
+is evaluated as it is. Outputs are expanded back to one value per unit,
+as are ``forward_trace``'s layers, so the plan changes no value.
+
+The plan, ``validate``, the nonzero count, ``scaled_by`` and the writer
+work once per distinct entry object (``by_id``), not once per entry, and
+equal entries that share one object share one integer in the plan.
 
 Every result is exact; a caller that wants binary64 rounds it once, with
 ``rationals.round_binary64``.
@@ -32,11 +36,12 @@ Every result is exact; a caller that wants binary64 rounds it once, with
 from __future__ import annotations
 
 import json
-import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple, Sequence, Union
 
 from .errors import DimensionError, ParseError
@@ -110,18 +115,20 @@ class WeightMatrix:
             flat.extend(as_rational(v) for v in row)
         return cls(len(rows), ncols, tuple(flat))
 
-    def entry(self, r: int, c: int) -> Fraction:
-        return self.entries[r * self.cols + c]
-
     def row(self, r: int) -> tuple[Fraction, ...]:
         return self.entries[r * self.cols:(r + 1) * self.cols]
 
     def scaled_by(self, factor: RationalLike) -> "WeightMatrix":
         f = as_rational(factor)
-        return WeightMatrix(self.rows, self.cols, tuple(e * f for e in self.entries))
+        scaled = {k: e * f for k, e in by_id(self.entries).items()}
+        entries = tuple(map(scaled.__getitem__, map(id, self.entries)))
+        return WeightMatrix(self.rows, self.cols, entries)
 
     def nonzero_count(self) -> int:
-        return sum(1 for e in self.entries if e)
+        objects = by_id(self.entries)
+        if all(objects.values()):
+            return len(self.entries)
+        return sum(n for k, n in Counter(map(id, self.entries)).items() if objects[k])
 
 
 @dataclass(frozen=True)
@@ -202,19 +209,23 @@ class _LayerPlan(NamedTuple):
     gather: tuple[int, ...] | None
 
 
-def _by_id(values: Sequence) -> dict[int, object]:
-    """The distinct objects of ``values``, keyed by ``id``. The caller
-    keeps ``values`` alive while it uses the keys."""
+def by_id(values: Sequence) -> dict[int, object]:
+    """The distinct objects of ``values``, keyed by ``id``, in order of first
+    appearance. The caller keeps ``values`` alive while it uses the keys."""
     return dict(zip(map(id, values), values))
 
 
 def _plan_layer(mat: WeightMatrix, merged: tuple[int, ...] | None) -> _LayerPlan:
     """Plan one matrix whose input units map to distinct values by ``merged``
-    (None when the input units are all distinct)."""
-    objects = _by_id(mat.entries)
+    (None when the input units are all distinct). Merged columns are
+    summed once per distinct row of the matrix."""
+    objects = by_id(mat.entries)
     scale = lcm_denominators(objects.values())
     scaled = {k: e.numerator * (scale // e.denominator) for k, e in objects.items()}
-    rows = (tuple(map(scaled.__getitem__, map(id, mat.row(r)))) for r in range(mat.rows))
+    raw: dict[tuple[int, ...], int] = {}
+    raw_gather = [raw.setdefault(tuple(map(scaled.__getitem__, map(id, mat.row(r)))), len(raw))
+                  for r in range(mat.rows)]
+    rows = iter(raw)
     if merged is not None:
         width = max(merged) + 1
 
@@ -226,9 +237,10 @@ def _plan_layer(mat: WeightMatrix, merged: tuple[int, ...] | None) -> _LayerPlan
 
         rows = map(sum_merged_columns, rows)
     index: dict[tuple[int, ...], int] = {}
-    gather = tuple(index.setdefault(row, len(index)) for row in rows)
+    of_raw = [index.setdefault(row, len(index)) for row in rows]
     distinct = tuple(index)
-    return _LayerPlan(scale, distinct, None if len(distinct) == mat.rows else gather)
+    gather = None if len(distinct) == mat.rows else tuple(map(of_raw.__getitem__, raw_gather))
+    return _LayerPlan(scale, distinct, gather)
 
 
 @dataclass(frozen=True)
@@ -247,43 +259,46 @@ class ValidationReport:
         return self.passed
 
 
-def _coerce_input(net: Network, x: Sequence[RationalLike]) -> list[Fraction]:
-    if len(x) != net.input_dim:
-        raise DimensionError(
-            f"input has {len(x)} coordinates, network expects {net.input_dim}",
-            layer=0,
-        )
-    return [as_rational(v) for v in x]
+def forward_integers(net: Network, nums: list[int], den: int, trace: list | None = None):
+    """Run the net on the point nums[1:]/den, where nums[0] == den is the
+    constant coordinate and den > 0: the one evaluation loop.
 
-
-def _forward_exact(net: Network, xs: list[Fraction], want_trace: bool):
-    # State: integer numerators over one shared positive denominator.
-    den = lcm_denominators(xs)
-    nums = [den] + [f.numerator * (den // f.denominator) for f in xs]
-    # Values are kept per distinct unit and expanded through the gather
-    # map only where they are returned.
+    Returns the output numerators, one per output unit with the output
+    scale applied, and their one positive denominator. Each layer works
+    on integers over a running common denominator, one value per distinct
+    unit of the plan, and ReLU is fused into the row sums. ``trace``, when
+    given, receives each hidden layer's values as Fractions, one per unit.
+    """
     plan = net._plan
-    kind = net.activation
-    last = len(plan) - 1
-    trace: list[tuple[Fraction, ...]] = []
-    for i, layer in enumerate(plan):
-        nums = [sum(map(operator.mul, row, nums)) for row in layer.rows]
+    relu = net.activation is ActivationKind.RELU
+    for layer in plan[:-1]:
         den *= layer.scale
-        if i < last:
-            if kind is ActivationKind.INDICATOR01:
-                nums = [1 if 0 <= n < den else 0 for n in nums]
-                den = 1
-            else:
-                nums = [n if n > 0 else 0 for n in nums]
-            if want_trace:
-                trace.append(_expand([Fraction(n, den) for n in nums], layer.gather))
-    sn, sd = net.output_scale.numerator, net.output_scale.denominator
-    out = [Fraction(n * sn, den * sd) for n in nums]
-    return _expand(out, plan[-1].gather), trace
+        if relu:
+            nums = [s if (s := sum(map(mul, row, nums))) > 0 else 0 for row in layer.rows]
+        else:
+            nums = [1 if 0 <= sum(map(mul, row, nums)) < den else 0 for row in layer.rows]
+            den = 1
+        if trace is not None:
+            trace.append(_expand([Fraction(n, den) for n in nums], layer.gather))
+    last, scale = plan[-1], net.output_scale
+    out = [sum(map(mul, row, nums)) * scale.numerator for row in last.rows]
+    return _expand(out, last.gather), den * last.scale * scale.denominator
 
 
 def _expand(values: list, gather: tuple[int, ...] | None) -> tuple:
     return tuple(values) if gather is None else tuple(map(values.__getitem__, gather))
+
+
+def _forward(net: Network, x: Sequence[RationalLike], trace: list | None = None):
+    if len(x) != net.input_dim:
+        raise DimensionError(
+            f"input has {len(x)} coordinates, network expects {net.input_dim}", layer=0)
+    xs = [as_rational(v) for v in x]
+    den = lcm_denominators(xs)
+    nums = [den] + [f.numerator * (den // f.denominator) for f in xs]
+    nums, den = forward_integers(net, nums, den, trace)
+    out = tuple(Fraction(n, den) for n in nums)
+    return out[0] if len(out) == 1 else out
 
 
 def evaluate(net: Network, x: Sequence[RationalLike]):
@@ -296,8 +311,7 @@ def evaluate(net: Network, x: Sequence[RationalLike]):
     formula, but the lowering and approximation guarantees elsewhere in
     this package only cover the unit cube.
     """
-    out, _ = _forward_exact(net, _coerce_input(net, x), want_trace=False)
-    return out[0] if len(out) == 1 else out
+    return _forward(net, x)
 
 
 def forward_trace(net: Network, x: Sequence[RationalLike]):
@@ -306,8 +320,8 @@ def forward_trace(net: Network, x: Sequence[RationalLike]):
     The output collapses to a scalar for one-unit outputs, as in
     ``evaluate``.
     """
-    out, trace = _forward_exact(net, _coerce_input(net, x), want_trace=True)
-    return trace, (out[0] if len(out) == 1 else out)
+    trace: list[tuple[Fraction, ...]] = []
+    return trace, _forward(net, x, trace)
 
 
 def validate(net: Network, weight_set: WeightSet) -> ValidationReport:
@@ -319,10 +333,11 @@ def validate(net: Network, weight_set: WeightSet) -> ValidationReport:
     if members is None:
         return ValidationReport(True, weight_set, None)
     for i, mat in enumerate(net.matrices):
-        for idx, e in enumerate(mat.entries):
-            if e not in members:
-                r, c = divmod(idx, mat.cols)
-                return ValidationReport(False, weight_set, (i, r, c, format_rational(e)))
+        if all(e in members for e in by_id(mat.entries).values()):
+            continue
+        idx, e = next((j, e) for j, e in enumerate(mat.entries) if e not in members)
+        r, c = divmod(idx, mat.cols)
+        return ValidationReport(False, weight_set, (i, r, c, format_rational(e)))
     return ValidationReport(True, weight_set, None)
 
 
@@ -350,7 +365,7 @@ def serialize(net: Network) -> bytes:
     text: dict[int, str] = {}
     matrices = []
     for m in net.matrices:
-        for k, e in _by_id(m.entries).items():
+        for k, e in by_id(m.entries).items():
             if k not in text:
                 text[k] = format_rational(e)
         entries = '",\n    "'.join(map(text.__getitem__, map(id, m.entries)))

@@ -312,6 +312,24 @@ class TestLowerRescaleEquiv:
             assert 0 < payload["max_abs_diff"] <= 1
             assert strict_json(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("a_net, b_net", [
+        (line_net(10**400, 1), line_net(10**400, 2)),    # both outputs round to inf
+        (line_net(0, F(1, 3)), line_net(0, F(1, 3) + F(1, 10**30))),  # below an ulp
+    ], ids=["beyond_binary64", "below_an_ulp"])
+    def test_float_divergence_never_reads_alike(self, capsys, tmp_path, a_net, b_net):
+        # Outputs whose binary64 texts agree print their exact texts instead.
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_network(a_net, a)
+        save_network(b_net, b)
+        texts = {}
+        for flag in ("--float", "--exact"):
+            code, out, err = run(capsys, "equiv", "--a", a, "--b", b, "--samples", 20, flag)
+            first = strict_json(out)["first_divergence"]
+            texts[flag] = first["a"], first["b"]
+        a_text, b_text = texts["--float"]
+        assert a_text != b_text and "inf" not in a_text + b_text
+        assert texts["--float"] == texts["--exact"]
+
     def test_nan_tolerance_is_validation_error(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_network(random_network(random.Random(1), 2, 2, 4), a)

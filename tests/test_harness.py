@@ -39,6 +39,7 @@ from qlower import (
     sparsity,
     sup_error,
     ternarize,
+    to_unit_weights,
     binarize,
     validate,
     write_report_csv,
@@ -582,6 +583,121 @@ class TestEquivalenceCheck:
         for other in (a, b):
             with pytest.raises(DomainError, match="tolerance"):
                 equivalence_check(a, other, tolerance=tolerance)
+
+
+def plain_equivalence(a, b, n_samples, seed, tolerance):
+    """equivalence_check's report from a plain Fraction loop over evaluate,
+    and the exact largest difference."""
+    rng = random.Random(seed)
+    worst, first = F(0), None
+    for _ in range(n_samples):
+        x = tuple(F(rng.randrange(257), 256) for _ in range(a.input_dim))
+        va, vb = (v if isinstance(v, tuple) else (v,) for v in (evaluate(a, x), evaluate(b, x)))
+        diff = max(abs(p - q) for p, q in zip(va, vb))
+        worst = max(worst, diff)
+        if first is None and diff > tolerance:
+            first = {"point": [format_rational(v) for v in x],
+                     "a": [format_rational(v) for v in va],
+                     "b": [format_rational(v) for v in vb]}
+    return EquivalenceReport(first is None, round_binary64(worst), first), worst
+
+
+def with_entry(net, i, k, value):
+    """net with entry k of matrix i replaced by value."""
+    m = net.matrices[i]
+    entries = m.entries[:k] + (F(value),) + m.entries[k + 1:]
+    mats = net.matrices[:i] + (WeightMatrix(m.rows, m.cols, entries),) + net.matrices[i + 1:]
+    return Network(net.input_dim, mats, net.activation, net.output_scale)
+
+
+def with_outputs(net, rng, outputs):
+    """net with its output matrix replaced by ``outputs`` random base-alphabet rows."""
+    last = net.matrices[-1]
+    rows = [[rng.choice(sorted(WeightSet.BASE_A.members())) for _ in range(last.cols)]
+            for _ in range(outputs)]
+    return Network(net.input_dim, net.matrices[:-1] + (WeightMatrix.from_rows(rows),),
+                   net.activation)
+
+
+GRID_4 = [F(i, 4) for i in range(5)]
+
+
+def parity_pairs():
+    """(id, a, b, verdict at tolerance 0 or None when not known)."""
+    rng = random.Random(41)
+    multi = with_outputs(random_network(rng, 2, 2, 4), rng, 3)
+    multi_binary = binarize(ternarize(multi)[0])[0]
+    # the first of the seeded nets whose output takes more than two values
+    source = next(net for net in (random_network(rng, 2, 3, 6) for _ in range(50))
+                  if len({evaluate(net, x) for x in itertools.product(GRID_4, repeat=2)}) > 2)
+    binary = binarize(ternarize(source)[0])[0]
+    unit = to_unit_weights(binary)
+    approx = build_approximator(builtin_target("mean", 2), F(1, 4)).network
+    readout = len(approx.matrices) - 1
+    return [
+        ("multi_output_lowered", multi, multi_binary, True),
+        # output unit 1 gains 1/2, units 0 and 2 are unchanged
+        ("multi_output_changed", multi,
+         with_entry(multi, 2, 4, multi.matrices[2].entries[4] + F(1, 2)), False),
+        ("unit_weights", source, unit, True),
+        ("unit_weights_changed",
+         Network(2, source.matrices, ActivationKind.RELU, F(3, 2)), unit, False),
+        ("unit_weights_both", to_unit_weights(ternarize(source)[0]), unit, True),
+        ("indicator_readout_changed", approx,
+         with_entry(approx, readout, 7, approx.matrices[readout].entries[7] + F(1, 3)), False),
+        ("line_against_zero", line(0, 1), line(0, 0), False),
+    ]
+
+
+PARITY = parity_pairs()
+
+
+class TestEquivalenceParity:
+    """The integer check reports what a plain Fraction loop over evaluate does."""
+
+    @pytest.mark.parametrize("a, b, verdict", [p[1:] for p in PARITY],
+                             ids=[p[0] for p in PARITY])
+    @pytest.mark.parametrize("tolerance", [0, 1e-9, F(1, 4)])
+    def test_report_matches_a_plain_fraction_loop(self, a, b, verdict, tolerance):
+        for seed in (0, 5):
+            report = equivalence_check(a, b, n_samples=60, seed=seed, tolerance=tolerance)
+            assert report == plain_equivalence(a, b, 60, seed, tolerance)[0]
+            if tolerance == 0:
+                assert report.equivalent is verdict
+
+    @pytest.mark.parametrize("a, b", [p[1:3] for p in PARITY if not p[3]],
+                             ids=[p[0] for p in PARITY if not p[3]])
+    def test_tolerance_equal_to_the_largest_difference_is_no_divergence(self, a, b):
+        _, worst = plain_equivalence(a, b, 60, 3, 0)
+        assert worst > 0
+        report = equivalence_check(a, b, n_samples=60, seed=3, tolerance=worst)
+        assert report == plain_equivalence(a, b, 60, 3, worst)[0]
+        assert report.equivalent and report.max_abs_diff == round_binary64(worst)
+        below = equivalence_check(a, b, n_samples=60, seed=3, tolerance=worst * F(999, 1000))
+        assert not below.equivalent
+
+
+class TestIntegerEquivalenceWork:
+    """equivalence_check runs both nets through the integer loop only."""
+
+    def test_equivalent_pair_never_calls_evaluate(self, monkeypatch):
+        source = random_network(random.Random(43), 2, 2, 5)
+        binary = binarize(ternarize(source)[0])[0]
+        runs = []
+        real = qlower.harness.forward_integers
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate called")
+
+        def counting(net, nums, den, trace=None):
+            runs.append(net)
+            return real(net, nums, den, trace)
+
+        monkeypatch.setattr(qlower.network, "evaluate", refuse)
+        monkeypatch.setattr(qlower.harness, "forward_integers", counting)
+        report = equivalence_check(source, binary, n_samples=30)
+        assert report.equivalent and report.max_abs_diff == 0.0
+        assert runs == [source, binary] * 30
 
 
 class TestRandomNetwork:

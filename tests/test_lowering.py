@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import qlower.lowering
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -232,6 +233,28 @@ class TestBinarize:
         lowered, _ = binarize(middle)
         for x in GRID_1D:
             assert evaluate(lowered, [x]) == evaluate(example_net, [x])
+
+
+class TestDistinctObjectLowering:
+    """binarize splits each distinct entry object of a matrix once."""
+
+    def test_binarize_splits_each_object_once(self, monkeypatch):
+        source = random_network(random.Random(12), 3, 3, 8)
+        tern, _ = ternarize(source)
+        expected, _ = binarize(tern)
+        calls = []
+        real = qlower.lowering.decompose_binary
+
+        def counting(w):
+            calls.append(w)
+            return real(w)
+
+        monkeypatch.setattr(qlower.lowering, "decompose_binary", counting)
+        lowered, _ = binarize(tern)
+        assert lowered == expected
+        objects = sum(len({id(e) for e in m.entries}) for m in tern.matrices)
+        entries = sum(len(m.entries) for m in tern.matrices)
+        assert len(calls) <= objects < entries // 10
 
 
 class TestToUnitWeights:

@@ -30,6 +30,7 @@ from qlower import (
     random_network,
     round_binary64,
     save_network,
+    SparsityReport,
     serialize,
     sparsity,
     ternarize,
@@ -574,3 +575,70 @@ class TestDistinctObjectWork:
         net._plan
         assert received == [len({id(e) for e in m.entries}) for m in net.matrices]
         assert sum(received) < 6_000
+
+
+# Values an entry can take: the alphabets' members and two that are in none.
+ENTRY_VALUES = tuple(sorted({v for ws in WeightSet if ws.members() for v in ws.members()}
+                            | {Fraction(1, 3), Fraction(-3)}))
+SHARED = {v: Fraction(v) for v in ENTRY_VALUES}
+
+
+@st.composite
+def shared_entry_nets(draw):
+    """Nets whose entries come from one alphabet, with a few values planted
+    at random positions, each entry either a shared object or its own
+    equal copy."""
+    alphabet = sorted(draw(st.sampled_from([ws for ws in WeightSet if ws.members()])).members())
+    widths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    widths[0] = max(widths[0], 2)
+    matrices = []
+    for cols, rows in zip(widths, widths[1:]):
+        values = draw(st.lists(st.sampled_from(alphabet), min_size=rows * cols,
+                               max_size=rows * cols))
+        for k in draw(st.lists(st.integers(0, rows * cols - 1), max_size=2)):
+            values[k] = draw(st.sampled_from(ENTRY_VALUES))
+        shared = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+        entries = tuple(SHARED[v] if s else Fraction(v) for v, s in zip(values, shared))
+        matrices.append(WeightMatrix(rows, cols, entries))
+    return Network(widths[0] - 1, tuple(matrices), ActivationKind.RELU)
+
+
+def plain_offender(net, weight_set):
+    """validate's offender, from a per-entry loop in row-major order."""
+    members = weight_set.members()
+    for i, m in enumerate(net.matrices):
+        for k, e in enumerate(m.entries):
+            if members is not None and e not in members:
+                return (i, *divmod(k, m.cols), format_rational(e))
+    return None
+
+
+class TestDistinctObjectChecks:
+    """validate, the nonzero count and scaling work once per distinct entry
+    object, and agree with per-entry loops."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shared_entry_nets(), st.sampled_from(ENTRY_VALUES))
+    def test_matches_per_entry_loops(self, net, factor):
+        for weight_set in WeightSet:
+            offender = plain_offender(net, weight_set)
+            report = validate(net, weight_set)
+            assert (report.passed, report.offender) == (offender is None, offender)
+        per = tuple(sum(1 for e in m.entries if e) for m in net.matrices)
+        assert sparsity(net) == SparsityReport(sum(per), per)
+        for m in net.matrices:
+            assert m.scaled_by(factor).entries == tuple(e * factor for e in m.entries)
+
+    def test_scaling_multiplies_each_object_once(self):
+        half, zero = Fraction(1, 2), Fraction(0)
+        m = WeightMatrix(2, 3, (half, zero, half, half, zero, Fraction(1, 2)))
+        products = []
+
+        class Factor(Fraction):
+            def __rmul__(self, other):
+                products.append(other)
+                return Fraction.__rmul__(self, other)
+
+        scaled = m.scaled_by(Factor(2))
+        assert scaled.entries == (1, 0, 1, 1, 0, 1)
+        assert len(products) == 3  # half, zero, and the unshared 1/2
