@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, DimensionError, DomainError
-from .network import ActivationKind, Network, WeightMatrix
+from .network import ActivationKind, LayerPlan, Network, WeightMatrix, plan_layer
 from .rationals import RationalLike, as_rational, format_rational, round_binary64
 
 DEFAULT_SELECTOR_CAP = 10**8
@@ -278,8 +278,9 @@ def selector_fits(grid: GridSpec) -> bool:
 def _selector_tail(grid: GridSpec) -> tuple[int, ...]:
     """Columns 1..dM of every selector row: -(M+1)^(i-1) over axis i's block.
 
-    Plain ints, so that comparing parsed Fraction rows against them takes
-    Fraction's fast integer path."""
+    Plain ints: they are the integer rows of the selector's plan, and
+    comparing parsed Fraction rows against them takes Fraction's fast
+    integer path."""
     return tuple(-place for place in grid.place_values for _ in range(grid.M))
 
 
@@ -373,14 +374,24 @@ def build_readout(f, grid: GridSpec) -> tuple[Fraction, ...]:
 
     Accepts a HolderFunctionSpec (on the grid's dimension, else
     DimensionError) or a bare callable. Each value is read by read_target,
-    whose DomainError names the cell and its representative.
+    whose DomainError names the cell and its representative. Each distinct
+    float value becomes one Fraction, shared by every cell that has it.
     """
     if isinstance(f, HolderFunctionSpec):
         if f.d != grid.d:
             raise DimensionError(f"target is on [0,1]^{f.d}, the grid on [0,1]^{grid.d}")
         f = f.evaluator
-    values = (read_target(f, point, cell=k) for k, point in grid.representatives())
-    return tuple(as_rational(v) if type(v) is float else v for v in values)
+    exact: dict[float, Fraction] = {}  # 0.0 and -0.0 are one key, both 0
+    values = []
+    for k, point in grid.representatives():
+        v = read_target(f, point, cell=k)
+        if type(v) is float:
+            r = exact.get(v)
+            if r is None:
+                r = exact[v] = as_rational(v)
+            v = r
+        values.append(v)
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -389,7 +400,10 @@ class ApproximatorBundle:
 
     The threshold and selector layers follow from the grid alone, so the
     network is derived on first access; it is None when the selector
-    would exceed the cap. ``evaluate_implicit`` works either way.
+    would exceed the cap. Its evaluation plan is seeded too: the selector
+    layer's from the grid, without reading the selector's entries, and
+    the threshold and readout layers' by ``plan_layer``.
+    ``evaluate_implicit`` works either way.
     ``epsilon`` is None for a bundle read back from a network.
     """
 
@@ -403,15 +417,16 @@ class ApproximatorBundle:
     def network(self) -> Optional[Network]:
         if not selector_fits(self.grid):
             return None
-        return Network(
-            self.grid.d,
-            (
-                build_threshold_matrix(self.grid),
-                build_selector_matrix(self.grid),
-                WeightMatrix(1, len(self.readout), self.readout),
-            ),
-            ActivationKind.INDICATOR01,
-        )
+        threshold = build_threshold_matrix(self.grid)
+        readout = WeightMatrix(1, len(self.readout), self.readout)
+        net = Network(self.grid.d, (threshold, build_selector_matrix(self.grid), readout),
+                      ActivationKind.INDICATOR01)
+        # No two threshold or selector rows are equal, so no layer merges
+        # units, and selector row r is (r, tail) in integers already.
+        tail = _selector_tail(self.grid)
+        selector = LayerPlan(1, tuple((r,) + tail for r in range(self.grid.cell_count)), None)
+        vars(net)["_plan"] = (plan_layer(threshold, None), selector, plan_layer(readout, None))
+        return net
 
     @property
     def certified(self) -> bool:
@@ -512,7 +527,7 @@ def bundle_from_network(net: Network) -> ApproximatorBundle:
     _require_rows("threshold", w, build_threshold_matrix(grid).row)
     tail = _selector_tail(grid)
     _require_rows("selector", v, lambda r: (r,) + tail)
-    readout = tuple(e * net.output_scale for e in u.entries)
+    readout = u.scaled_by(net.output_scale).entries
     bundle = ApproximatorBundle(grid, None, readout, None, NOTE_RECONSTRUCTED)
     vars(bundle)["network"] = net  # already materialized: seed the cached property
     return bundle

@@ -25,7 +25,7 @@ from .approx import (
     read_target,
 )
 from .errors import DimensionError, DomainError
-from .network import ActivationKind, Network, WeightMatrix, WeightSet, forward_integers
+from .network import ActivationKind, Network, WeightMatrix, WeightSet, by_id, forward_integers
 from .rationals import RationalLike, as_rational, format_rational, round_binary64
 
 HOLDER_CHECK_PAIRS = 10_000
@@ -60,11 +60,11 @@ def _mean(x: Sequence) -> Fraction:
 
 
 def _maxcoord(x: Sequence) -> Fraction:
-    return max(as_rational(v) for v in x)
+    return max(map(as_rational, x))
 
 
 def _root(x: Sequence) -> float:
-    return math.sqrt(max(float(v) for v in x))
+    return math.sqrt(max(map(float, x)))
 
 
 def check_holder(
@@ -183,7 +183,8 @@ def sup_error(
     included) and, by default, every cell representative. Each point is
     compared exactly, as a cross-multiplied integer inequality between
     the target value (a float taken at its exact binary64 value) and its
-    readout entry; the largest difference becomes one Fraction and is
+    readout entry, whose integer pair is taken once per distinct readout
+    object; the largest difference becomes one Fraction and is
     rounded to binary64 only at the end, as is the bound (to an infinity
     beyond its range). Target values are read by read_target, whose
     DomainError names the point. Of a HolderFunctionSpec only the
@@ -206,13 +207,14 @@ def sup_error(
     # is |a*q - p*b| * worst_d > worst_n * b * q, decided in integers.
     worst_n, worst_d = -1, 1
     argmax: tuple[Fraction, ...] = ()
+    ratios = {k: c.as_integer_ratio() for k, c in by_id(readout).items()}
+    pairs = list(map(ratios.__getitem__, map(id, readout)))
 
     def visit(x: tuple[Fraction, ...], k: int) -> None:
         nonlocal worst_n, worst_d, argmax
         a, b = read_target(evaluator, x).as_integer_ratio()
-        c = readout[k]
-        q = c.denominator
-        n = abs(a * q - c.numerator * b)
+        p, q = pairs[k]
+        n = abs(a * q - p * b)
         if n * worst_d > worst_n * b * q:
             worst_n, worst_d, argmax = n, b * q, x
 
@@ -279,7 +281,8 @@ def equivalence_check(
             f"output dims differ: {a.output_dim} vs {b.output_dim}")
     if n_samples < 1:
         raise DomainError(f"need at least 1 sample, got {n_samples}")
-    if not math.isfinite(tolerance) or tolerance < 0:
+    # An int or a Fraction is finite however large; only a float may not be.
+    if isinstance(tolerance, float) and not math.isfinite(tolerance) or tolerance < 0:
         raise DomainError(f"tolerance must be finite and non-negative, got {tolerance}")
     tol_n, tol_d = Fraction(tolerance).as_integer_ratio()
     rng = random.Random(seed)

@@ -21,9 +21,12 @@ use. Units whose rows are identical compute identical values, so every
 layer keeps only its distinct rows, and the next layer sums the columns
 of the units it merged, once per distinct row, before its own rows are
 compared. The lowering passes duplicate every hidden unit, so a lowered
-net shrinks back to about its source's widths; a net with no repeated row
-is evaluated as it is. Outputs are expanded back to one value per unit,
-as are ``forward_trace``'s layers, so the plan changes no value.
+net shrinks back to about its source's widths. An approximator's net
+repeats no row, and its selector's plan follows from its grid, so
+``approx`` builds that layer's ``LayerPlan`` itself and seeds the plan;
+``plan_layer`` plans its other layers. Outputs are expanded back to one
+value per unit, as are ``forward_trace``'s layers, so the plan changes
+no value.
 
 The plan, ``validate``, the nonzero count, ``scaled_by`` and the writer
 work once per distinct entry object (``by_id``), not once per entry, and
@@ -185,17 +188,17 @@ class Network:
         return self.matrices[-1].rows
 
     @cached_property
-    def _plan(self) -> tuple[_LayerPlan, ...]:
+    def _plan(self) -> tuple[LayerPlan, ...]:
         """The row-quotient plan that exact evaluation runs on."""
-        plan: list[_LayerPlan] = []
+        plan: list[LayerPlan] = []
         merged = None
         for mat in self.matrices:
-            plan.append(_plan_layer(mat, merged))
+            plan.append(plan_layer(mat, merged))
             merged = plan[-1].gather
         return tuple(plan)
 
 
-class _LayerPlan(NamedTuple):
+class LayerPlan(NamedTuple):
     """One matrix of a network's exact-evaluation plan.
 
     ``rows`` are the distinct integer rows of the matrix times ``scale``
@@ -215,7 +218,7 @@ def by_id(values: Sequence) -> dict[int, object]:
     return dict(zip(map(id, values), values))
 
 
-def _plan_layer(mat: WeightMatrix, merged: tuple[int, ...] | None) -> _LayerPlan:
+def plan_layer(mat: WeightMatrix, merged: tuple[int, ...] | None) -> LayerPlan:
     """Plan one matrix whose input units map to distinct values by ``merged``
     (None when the input units are all distinct). Merged columns are
     summed once per distinct row of the matrix."""
@@ -240,7 +243,7 @@ def _plan_layer(mat: WeightMatrix, merged: tuple[int, ...] | None) -> _LayerPlan
     of_raw = [index.setdefault(row, len(index)) for row in rows]
     distinct = tuple(index)
     gather = None if len(distinct) == mat.rows else tuple(map(of_raw.__getitem__, raw_gather))
-    return _LayerPlan(scale, distinct, gather)
+    return LayerPlan(scale, distinct, gather)
 
 
 @dataclass(frozen=True)

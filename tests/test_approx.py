@@ -31,10 +31,12 @@ from qlower import (
     evaluate,
     evaluate_implicit,
     forward_trace,
+    as_rational,
     round_binary64,
     serialize,
 )
 from qlower.approx import NOTE_CERTIFIED, NOTE_USER_M, selector_cap
+from qlower.harness import builtin_spec
 
 from conftest import forbid_selector_builds
 
@@ -220,6 +222,13 @@ class TestBuilders:
             build_readout(lambda x: None, GridSpec(2, 2))
         assert str(err.value) == "target evaluator failed at cell 0, point ['0', '0']"
 
+    def test_readout_shares_one_fraction_per_float_value(self):
+        grid = GridSpec(2, 100)
+        readout = build_readout(builtin_spec("root", 2), grid)
+        assert readout == tuple(as_rational(math.sqrt(max(map(float, grid.representative(k)))))
+                                for k in range(grid.cell_count))
+        assert len({id(v) for v in readout}) == 101
+
     def test_readout_refuses_a_target_on_another_dimension(self):
         with pytest.raises(DimensionError, match=r"target is on \[0,1\]\^1, the grid on \[0,1\]\^2"):
             build_readout(builtin_target("mean", 1), GridSpec(2, 2))
@@ -365,8 +374,13 @@ class TestEvaluateImplicit:
     def test_agrees_with_materialized_network(self):
         rng = random.Random(406)
         bundle = build_approximator(linear_spec(2), F(1, 4))
-        for _ in range(200):
-            x = [F(rng.randrange(0, 257), 256) for _ in range(2)]
+        base = bundle.grid.M + 1
+        points = [[F(rng.randrange(0, 257), 256) for _ in range(2)] for _ in range(200)]
+        # every threshold j/(M+1), and the closed end 1, on each axis
+        edges = [F(j, base) for j in range(1, base)] + [F(1)]
+        points += [[a, b] for a in edges for b in [F(0), *edges]]
+        points += [[F(0), b] for b in edges]
+        for x in points:
             assert evaluate_implicit(bundle, x) == evaluate(bundle.network, x)
 
     def test_float_mode_converts_result(self):
@@ -516,3 +530,23 @@ class TestDerivedNetwork:
         net = bundle.network
         assert bundle.network is net and built == [bundle.grid]
         assert net.matrices[2].entries == bundle.readout
+
+    def test_selector_plan_comes_from_the_grid(self, monkeypatch):
+        planned = []
+
+        def recording(module):
+            real = module.plan_layer
+
+            def plan_layer(mat, merged):
+                planned.append((module.__name__, mat))
+                return real(mat, merged)
+            monkeypatch.setattr(module, "plan_layer", plan_layer)
+
+        recording(qlower.approx)
+        recording(qlower.network)
+        bundle = build_approximator(linear_spec(2), F(1, 3))
+        net = bundle.network
+        x = [F(2, 7), F(5, 9)]
+        assert evaluate(net, x) == evaluate_implicit(bundle, x)
+        threshold, _, readout = net.matrices
+        assert planned == [("qlower.approx", threshold), ("qlower.approx", readout)]

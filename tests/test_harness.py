@@ -574,6 +574,17 @@ class TestEquivalenceCheck:
         x = F(report.first_divergence["point"][0])
         assert round_binary64(evaluate(third, [x])) == round_binary64(evaluate(near, [x]))
 
+    @pytest.mark.parametrize("tolerance", [F(10**400), 10**400], ids=["fraction", "int"])
+    def test_tolerance_beyond_binary64_is_finite(self, tolerance):
+        # Neither has a binary64 value, but both are finite: every
+        # difference of these nets is within them, and none of 10^401 x.
+        report = equivalence_check(line(0, 10**300), line(0, 0), n_samples=20,
+                                   tolerance=tolerance)
+        assert report.equivalent and 0 < report.max_abs_diff <= 1e300
+        report = equivalence_check(line(0, 10**401), line(0, 0), n_samples=20,
+                                   tolerance=tolerance)
+        assert not report.equivalent and report.max_abs_diff == math.inf
+
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1, -1e-300])
     def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
         # nan would certify any pair (no diff is > nan), and a negative

@@ -475,8 +475,10 @@ class TestMemoizedParsing:
         # Each net also serializes byte for byte as the indenting encoder
         # writes it, and plans as the per-entry reference does: the corpus
         # with its ternary and binary forms (and unit forms of the first
-        # 20), every built-in target at d=1 and d=2, the approximator, and
-        # a net with a negative output scale and a 10^30 numerator.
+        # 20), every built-in target at d=1 and d=2, root at d=3, mean with
+        # M=1 at d=1..3, the approximator, and a net with a negative output
+        # scale and a 10^30 numerator. The approximators' plans are seeded
+        # from their grids.
         nets = []
         for i in range(CORPUS_SIZE):
             net = _make_source(i)
@@ -489,6 +491,10 @@ class TestMemoizedParsing:
             for name in ("const", "mean", "maxcoord", "root"):
                 target = builtin_target(name, d)
                 nets.append(build_approximator(target, Fraction(1, 4), M_override=4).network)
+        nets.append(build_approximator(builtin_target("root", 3), Fraction(1, 2)).network)
+        for d in (1, 2, 3):
+            nets.append(build_approximator(builtin_target("mean", d), Fraction(1, 2),
+                                           M_override=1).network)
         nets.append(relu_net(1, [[Fraction(10**30, 7), "-1/2"], [0, 1]], [[1, 10**30]],
                              scale=Fraction(-3, 5)))
         assert deserialize(serialize(approximator_net)) == approximator_net
