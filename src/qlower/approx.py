@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, DimensionError, DomainError
 from .network import ActivationKind, LayerPlan, Network, WeightMatrix, plan_layer
-from .rationals import RationalLike, as_rational, format_rational, round_binary64
+from .rationals import RationalLike, as_rational, describe_number, format_rational, round_binary64
 
 DEFAULT_SELECTOR_CAP = 10**8
 CAP_ENV_VAR = "QLOWER_CAP"
@@ -67,9 +67,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.d < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.d}")
+            raise DomainError(f"dimension must be >= 1, got {describe_number(self.d)}")
         if self.M < 1:
-            raise DomainError(f"resolution must be >= 1, got {self.M}")
+            raise DomainError(f"resolution must be >= 1, got {describe_number(self.M)}")
 
     @property
     def cell_count(self) -> int:
@@ -91,7 +91,8 @@ class GridSpec:
     def cell_coords(self, k: int) -> tuple[int, ...]:
         """Digits (m_1, ..., m_d) of cell k in base M+1, axis 1 first."""
         if not 0 <= k < self.cell_count:
-            raise DomainError(f"cell index {k} out of range [0, {self.cell_count})")
+            raise DomainError(
+                f"cell index {describe_number(k)} out of range [0, {describe_number(self.cell_count)})")
         base = self.M + 1
         out = []
         for _ in range(self.d):
@@ -105,7 +106,7 @@ class GridSpec:
         k = 0
         for m, place in zip(coords, self.place_values):
             if not 0 <= m <= self.M:
-                raise DomainError(f"cell digit {m} out of range [0, {self.M}]")
+                raise DomainError(f"cell digit {describe_number(m)} out of range [0, {self.M}]")
             k += m * place
         return k
 
@@ -143,9 +144,10 @@ def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike
     beta_ = as_rational(beta)
     eps_ = as_rational(epsilon)
     if K_ <= 0 or eps_ <= 0:
-        raise DomainError(f"K and epsilon must be positive, got K={K}, epsilon={epsilon}")
+        raise DomainError(f"K and epsilon must be positive, got K={describe_number(K)}, "
+                          f"epsilon={describe_number(epsilon)}")
     if not 0 < beta_ <= 1:
-        raise DomainError(f"beta must lie in (0, 1], got {beta}")
+        raise DomainError(f"beta must lie in (0, 1], got {describe_number(beta)}")
     p, r = beta_.numerator, beta_.denominator
     q = K_ / eps_
     if q <= 1:
@@ -222,7 +224,7 @@ def cell_index(x: Sequence[RationalLike], grid: GridSpec) -> int:
     for i, (raw, place) in enumerate(zip(x, grid.place_values)):
         v = as_rational(raw)
         if not ZERO <= v <= ONE:
-            raise DomainError(f"coordinate {i} = {raw} lies outside [0, 1]")
+            raise DomainError(f"coordinate {i} = {describe_number(raw)} lies outside [0, 1]")
         k += grid.digit(v) * place
     return k
 
@@ -278,7 +280,7 @@ def selector_fits(grid: GridSpec) -> bool:
 def _selector_tail(grid: GridSpec) -> tuple[int, ...]:
     """Columns 1..dM of every selector row: -(M+1)^(i-1) over axis i's block.
 
-    Plain ints: they are the integer rows of the selector's plan, and
+    Plain ints: they are the one shared part of the selector's plan, and
     comparing parsed Fraction rows against them takes Fraction's fast
     integer path."""
     return tuple(-place for place in grid.place_values for _ in range(grid.M))
@@ -296,11 +298,12 @@ def build_selector_matrix(grid: GridSpec) -> WeightMatrix:
     width = grid.d * grid.M + 1
     check_cap("selector matrix", "entries", "evaluate implicitly instead", cells * width)
     tail = tuple(map(Fraction, _selector_tail(grid)))
-    entries: list[Fraction] = []
-    for r in range(cells):
-        entries.append(Fraction(r))
-        entries.extend(tail)
-    return WeightMatrix(cells, width, tuple(entries))
+    # One pass into the tuple, with no full-size list before it. The
+    # constants are made first, so that no object is allocated while the
+    # tuple grows and the garbage collector does not walk it.
+    heads = [(Fraction(r),) for r in range(cells)]
+    rows = map(tuple.__add__, heads, itertools.repeat(tail))
+    return WeightMatrix(cells, width, tuple(itertools.chain.from_iterable(rows)))
 
 
 def bundle_stats(bundle: ApproximatorBundle) -> dict:
@@ -337,9 +340,9 @@ class HolderFunctionSpec:
         for name in ("beta", "K", "F"):
             object.__setattr__(self, name, as_rational(getattr(self, name)))
         if self.d < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.d}")
+            raise DomainError(f"dimension must be >= 1, got {describe_number(self.d)}")
         if not 0 < self.beta <= 1:
-            raise DomainError(f"beta must lie in (0, 1], got {self.beta}")
+            raise DomainError(f"beta must lie in (0, 1], got {describe_number(self.beta)}")
         if self.K <= 0 or self.F <= 0:
             raise DomainError("K and F must be positive")
         for name in ("beta", "K", "F"):
@@ -401,7 +404,8 @@ class ApproximatorBundle:
     The threshold and selector layers follow from the grid alone, so the
     network is derived on first access; it is None when the selector
     would exceed the cap. Its evaluation plan is seeded too: the selector
-    layer's from the grid, without reading the selector's entries, and
+    layer's from the grid, as one group (``_selector_tail`` with the
+    constants 0..cells-1) without reading the selector's entries, and
     the threshold and readout layers' by ``plan_layer``.
     ``evaluate_implicit`` works either way.
     ``epsilon`` is None for a bundle read back from a network.
@@ -421,10 +425,10 @@ class ApproximatorBundle:
         readout = WeightMatrix(1, len(self.readout), self.readout)
         net = Network(self.grid.d, (threshold, build_selector_matrix(self.grid), readout),
                       ActivationKind.INDICATOR01)
-        # No two threshold or selector rows are equal, so no layer merges
-        # units, and selector row r is (r, tail) in integers already.
-        tail = _selector_tail(self.grid)
-        selector = LayerPlan(1, tuple((r,) + tail for r in range(self.grid.cell_count)), None)
+        # No two threshold or selector rows are equal, and plan_layer keeps
+        # their order, so no layer merges units. Selector row r is (r, tail)
+        # in integers already: one group, as plan_layer would find it.
+        selector = LayerPlan(1, (), ((_selector_tail(self.grid), range(self.grid.cell_count)),), None)
         vars(net)["_plan"] = (plan_layer(threshold, None), selector, plan_layer(readout, None))
         return net
 
@@ -475,7 +479,7 @@ def build_approximator(
     """
     eps = as_rational(epsilon)
     if eps <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+        raise DomainError(f"epsilon must be positive, got {describe_number(epsilon)}")
     _check_binary64("epsilon", eps)
     if M_override is None:
         grid, note = GridSpec(f.d, choose_resolution(f.K, f.beta, eps)), NOTE_CERTIFIED

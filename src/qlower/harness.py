@@ -26,7 +26,7 @@ from .approx import (
 )
 from .errors import DimensionError, DomainError
 from .network import ActivationKind, Network, WeightMatrix, WeightSet, by_id, forward_integers
-from .rationals import RationalLike, as_rational, format_rational, round_binary64
+from .rationals import RationalLike, as_rational, describe_number, format_rational, round_binary64
 
 HOLDER_CHECK_PAIRS = 10_000
 
@@ -85,7 +85,7 @@ def check_holder(
     wrong constants.
     """
     if pairs < 1:
-        raise DomainError(f"need at least 1 pair, got {pairs}")
+        raise DomainError(f"need at least 1 pair, got {describe_number(pairs)}")
     rng = random.Random(f"holder:{name}:{spec.d}:{seed}:{pairs}")
     exact = spec.beta == 1
     K_n, K_d = spec.K.numerator, spec.K.denominator
@@ -194,7 +194,8 @@ def sup_error(
     CapacityError before it starts.
     """
     if n_per_axis < 2:
-        raise DomainError(f"need at least 2 grid points per axis, got {n_per_axis}")
+        raise DomainError(
+            f"need at least 2 grid points per axis, got {describe_number(n_per_axis)}")
     bundle = obj if isinstance(obj, ApproximatorBundle) else bundle_from_network(obj)
     grid, readout = bundle.grid, bundle.readout
     if isinstance(f, HolderFunctionSpec) and f.d != grid.d:
@@ -280,10 +281,11 @@ def equivalence_check(
         raise DimensionError(
             f"output dims differ: {a.output_dim} vs {b.output_dim}")
     if n_samples < 1:
-        raise DomainError(f"need at least 1 sample, got {n_samples}")
+        raise DomainError(f"need at least 1 sample, got {describe_number(n_samples)}")
     # An int or a Fraction is finite however large; only a float may not be.
     if isinstance(tolerance, float) and not math.isfinite(tolerance) or tolerance < 0:
-        raise DomainError(f"tolerance must be finite and non-negative, got {tolerance}")
+        raise DomainError(
+            f"tolerance must be finite and non-negative, got {describe_number(tolerance)}")
     tol_n, tol_d = Fraction(tolerance).as_integer_ratio()
     rng = random.Random(seed)
     # The largest difference so far is worst_n/worst_d. With outputs p/da

@@ -38,6 +38,7 @@ from .network import (
     sparsity,
     validate,
 )
+from .rationals import describe_number
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -133,7 +134,7 @@ def ternary_prefix(d: int) -> Network:
     the sum of its four half-copies. Exactly 20(d+1) nonzero weights.
     """
     if d < 1:
-        raise DomainError(f"input dimension must be >= 1, got {d}")
+        raise DomainError(f"input dimension must be >= 1, got {describe_number(d)}")
     n = d + 1
     fan = [[HALF if c == src else ZERO for c in range(n)]
            for src in range(n) for _ in range(4)]
@@ -157,7 +158,7 @@ def binary_prefix(d: int) -> Network:
       3. two copies of 1 = (16*y_0 - 4*sum x_i)/4 and two of each x_k.
     """
     if d < 1:
-        raise DomainError(f"input dimension must be >= 1, got {d}")
+        raise DomainError(f"input dimension must be >= 1, got {describe_number(d)}")
 
     def pm(pattern: list[int]) -> list[Fraction]:
         return [QUARTER if s > 0 else -QUARTER for s in pattern]
@@ -393,18 +394,19 @@ def theorem_bounds(params: TheoremBoundParams) -> TheoremBoundReport:
 def _theorem_bounds(params: TheoremBoundParams) -> TheoremBoundReport:
     m, N, beta, d, K = params.m, params.N, params.beta, params.d, params.K
     if not isinstance(m, int) or m < 1:
-        raise DomainError(f"m must be an integer >= 1, got {m}")
+        raise DomainError(f"m must be an integer >= 1, got {describe_number(m)}")
     if not isinstance(d, int) or d < 1:
-        raise DomainError(f"d must be an integer >= 1, got {d}")
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if K <= 0:
-        raise DomainError(f"K must be positive, got {K}")
+        raise DomainError(f"d must be an integer >= 1, got {describe_number(d)}")
+    if not beta > 0:  # nan too
+        raise DomainError(f"beta must be positive, got {describe_number(beta)}")
+    if not K > 0:
+        raise DomainError(f"K must be positive, got {describe_number(K)}")
     beta, K = float(beta), float(K)
     n_floor = max((beta + 1) ** d, (K + 1) * math.e**d)
     if not isinstance(N, int) or N < n_floor:
         raise DomainError(
-            f"N must be an integer >= max((beta+1)^d, (K+1)e^d) = {n_floor:.6g}, got {N}"
+            f"N must be an integer >= max((beta+1)^d, (K+1)e^d) = {n_floor:.6g}, "
+            f"got {describe_number(N)}"
         )
 
     log_term = (beta + d) * math.log2(N) + math.log2(K) + d * math.log2(math.e)

@@ -21,12 +21,14 @@ use. Units whose rows are identical compute identical values, so every
 layer keeps only its distinct rows, and the next layer sums the columns
 of the units it merged, once per distinct row, before its own rows are
 compared. The lowering passes duplicate every hidden unit, so a lowered
-net shrinks back to about its source's widths. An approximator's net
-repeats no row, and its selector's plan follows from its grid, so
-``approx`` builds that layer's ``LayerPlan`` itself and seeds the plan;
-``plan_layer`` plans its other layers. Outputs are expanded back to one
-value per unit, as are ``forward_trace``'s layers, so the plan changes
-no value.
+net shrinks back to about its source's widths. Rows that differ only in
+column 0 share their other columns, the part: the plan holds a shared
+part once, with one constant per row, and takes its dot product once
+per point. Every selector row of an approximator is ``(r, tail)``, so
+its plan follows from its grid: ``approx`` builds that layer's
+``LayerPlan`` itself, as one group, and seeds the plan; ``plan_layer``
+plans its other layers. Outputs are expanded back to one value per
+unit, as are ``forward_trace``'s layers, so the plan changes no value.
 
 The plan, ``validate``, the nonzero count, ``scaled_by`` and the writer
 work once per distinct entry object (``by_id``), not once per entry, and
@@ -48,7 +50,7 @@ from operator import mul
 from typing import NamedTuple, Sequence, Union
 
 from .errors import DimensionError, ParseError
-from .rationals import RationalLike, as_rational, format_rational, lcm_denominators
+from .rationals import RationalLike, as_rational, describe_number, format_rational, lcm_denominators
 
 FORMAT_VERSION = 1
 
@@ -99,7 +101,8 @@ class WeightMatrix:
 
     def __post_init__(self):
         if self.rows <= 0 or self.cols <= 0:
-            raise DimensionError(f"matrix shape must be positive, got {self.rows}x{self.cols}")
+            raise DimensionError(f"matrix shape must be positive, got "
+                                 f"{describe_number(self.rows)}x{describe_number(self.cols)}")
         if len(self.entries) != self.rows * self.cols:
             raise DimensionError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
@@ -152,7 +155,7 @@ class Network:
         object.__setattr__(self, "matrices", tuple(self.matrices))
         object.__setattr__(self, "output_scale", as_rational(self.output_scale))
         if self.input_dim < 1:
-            raise DimensionError(f"input_dim must be positive, got {self.input_dim}")
+            raise DimensionError(f"input_dim must be positive, got {describe_number(self.input_dim)}")
         if not self.matrices:
             raise DimensionError("network needs at least one matrix")
         if self.matrices[0].cols != self.input_dim + 1:
@@ -201,14 +204,20 @@ class Network:
 class LayerPlan(NamedTuple):
     """One matrix of a network's exact-evaluation plan.
 
-    ``rows`` are the distinct integer rows of the matrix times ``scale``
-    (the lcm of its denominators), read over the distinct units of the
-    previous layer. ``gather[u]`` is the index of unit u's row, and
-    ``gather`` is None when no row repeats.
+    The matrix times ``scale`` (the lcm of its denominators) is read in
+    integers over the distinct units of the previous layer. Each of its
+    distinct rows is a constant, column 0, and a part, the other columns.
+    ``rows`` holds in full each row whose part no other row has.
+    ``groups`` holds each part that two or more rows share once, as
+    ``(part, constants)``: the rows ``(c, *part)`` for c in constants.
+    The plan computes ``rows``, then each group's rows, in order;
+    ``gather[u]`` is the index of unit u's value in that order, and
+    ``gather`` is None when that order is the units' own.
     """
 
     scale: int
     rows: tuple[tuple[int, ...], ...]
+    groups: tuple[tuple[tuple[int, ...], Sequence[int]], ...]
     gather: tuple[int, ...] | None
 
 
@@ -221,29 +230,52 @@ def by_id(values: Sequence) -> dict[int, object]:
 def plan_layer(mat: WeightMatrix, merged: tuple[int, ...] | None) -> LayerPlan:
     """Plan one matrix whose input units map to distinct values by ``merged``
     (None when the input units are all distinct). Merged columns are
-    summed once per distinct row of the matrix."""
+    summed once per distinct row of the matrix. A row is keyed by its
+    constant and its part, one object per distinct part, so rows that
+    share a part are never held in full."""
     objects = by_id(mat.entries)
     scale = lcm_denominators(objects.values())
     scaled = {k: e.numerator * (scale // e.denominator) for k, e in objects.items()}
-    raw: dict[tuple[int, ...], int] = {}
-    raw_gather = [raw.setdefault(tuple(map(scaled.__getitem__, map(id, mat.row(r)))), len(raw))
-                  for r in range(mat.rows)]
-    rows = iter(raw)
-    if merged is not None:
+    parts: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def key(constant: int, part: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        return constant, parts.setdefault(part, part)
+
+    entries, cols = mat.entries, mat.cols
+    raw: dict[tuple[int, tuple[int, ...]], int] = {}
+    raw_gather = [raw.setdefault(key(scaled[id(entries[i])],
+                                     tuple(map(scaled.__getitem__, map(id, entries[i + 1:i + cols])))),
+                                 len(raw))
+                  for i in range(0, len(entries), cols)]
+    if merged is None:
+        index, of_raw = raw, range(len(raw))
+    else:
         width = max(merged) + 1
 
-        def sum_merged_columns(row):
+        def sum_merged_columns(raw_key):
             out = [0] * width
-            for j, w in zip(merged, row):
+            for j, w in zip(merged, (raw_key[0], *raw_key[1])):
                 out[j] += w
-            return tuple(out)
+            return key(out[0], tuple(out[1:]))
 
-        rows = map(sum_merged_columns, rows)
-    index: dict[tuple[int, ...], int] = {}
-    of_raw = [index.setdefault(row, len(index)) for row in rows]
-    distinct = tuple(index)
-    gather = None if len(distinct) == mat.rows else tuple(map(of_raw.__getitem__, raw_gather))
-    return LayerPlan(scale, distinct, gather)
+        index = {}
+        of_raw = [index.setdefault(k, len(index)) for k in map(sum_merged_columns, raw)]
+    keys = list(index)
+    members: dict[int, list[int]] = {}  # id(part) -> indices into keys
+    for i, (_, part) in enumerate(keys):
+        members.setdefault(id(part), []).append(i)
+    single = [m for m in members.values() if len(m) == 1]
+    shared = [m for m in members.values() if len(m) > 1]
+    place = [0] * len(keys)
+    for p, i in enumerate(i for m in single + shared for i in m):
+        place[i] = p
+    gather = tuple(place[of_raw[g]] for g in raw_gather)
+    return LayerPlan(
+        scale,
+        tuple((keys[i][0], *keys[i][1]) for i, in single),
+        tuple((keys[m[0]][1], tuple(keys[i][0] for i in m)) for m in shared),
+        None if gather == tuple(range(mat.rows)) else gather,
+    )
 
 
 @dataclass(frozen=True)
@@ -269,23 +301,39 @@ def forward_integers(net: Network, nums: list[int], den: int, trace: list | None
     Returns the output numerators, one per output unit with the output
     scale applied, and their one positive denominator. Each layer works
     on integers over a running common denominator, one value per distinct
-    unit of the plan, and ReLU is fused into the row sums. ``trace``, when
-    given, receives each hidden layer's values as Fractions, one per unit.
+    unit of the plan, and ReLU is fused into the row sums. A group's part
+    takes one dot product with nums[1:], and each of its rows adds its
+    constant times nums[0]. ``trace``, when given, receives each hidden
+    layer's values as Fractions, one per unit.
     """
     plan = net._plan
     relu = net.activation is ActivationKind.RELU
     for layer in plan[:-1]:
         den *= layer.scale
+        shared = layer.groups and _part_sums(layer.groups, nums)
         if relu:
             nums = [s if (s := sum(map(mul, row, nums))) > 0 else 0 for row in layer.rows]
+            for s, n0, constants in shared:
+                nums += [v if (v := s + c * n0) > 0 else 0 for c in constants]
         else:
             nums = [1 if 0 <= sum(map(mul, row, nums)) < den else 0 for row in layer.rows]
+            for s, n0, constants in shared:
+                nums += [1 if 0 <= s + c * n0 < den else 0 for c in constants]
             den = 1
         if trace is not None:
             trace.append(_expand([Fraction(n, den) for n in nums], layer.gather))
     last, scale = plan[-1], net.output_scale
-    out = [sum(map(mul, row, nums)) * scale.numerator for row in last.rows]
+    shared, k = last.groups and _part_sums(last.groups, nums), scale.numerator
+    out = [sum(map(mul, row, nums)) * k for row in last.rows]
+    for s, n0, constants in shared:
+        out += [(s + c * n0) * k for c in constants]
     return _expand(out, last.gather), den * last.scale * scale.denominator
+
+
+def _part_sums(groups: tuple, nums: list[int]) -> list:
+    """(dot product of the part with nums[1:], nums[0], constants) per group."""
+    n0, rest = nums[0], nums[1:]
+    return [(sum(map(mul, part, rest)), n0, constants) for part, constants in groups]
 
 
 def _expand(values: list, gather: tuple[int, ...] | None) -> tuple:
@@ -409,17 +457,21 @@ def _parse_entries(raw: list, location: str, parsed: dict[str, Fraction]) -> tup
     in the file to its value, so a repeated string is parsed and checked
     once. A string that fails raises before it is stored, so every bad
     entry reports its own index. Entries of any other type (integers, and
-    the values ``_parse_entry`` refuses) are parsed each time."""
-    out = []
-    for j, e in enumerate(raw):
-        if type(e) is str:
-            value = parsed.get(e)
-            if value is None:
-                value = parsed[e] = _parse_entry(e, f"{location}.entries[{j}]")
-        else:
-            value = _parse_entry(e, f"{location}.entries[{j}]")
-        out.append(value)
-    return tuple(out)
+    the values ``_parse_entry`` refuses) are parsed each time. The tuple
+    is built as the entries are read, with no list before it, so a large
+    matrix is held once."""
+
+    def values():
+        for j, e in enumerate(raw):
+            if type(e) is str:
+                value = parsed.get(e)
+                if value is None:
+                    value = parsed[e] = _parse_entry(e, f"{location}.entries[{j}]")
+            else:
+                value = _parse_entry(e, f"{location}.entries[{j}]")
+            yield value
+
+    return tuple(values())
 
 
 def network_from_dict(payload: dict, location: str = "$") -> Network:

@@ -66,6 +66,21 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def describe_number(value) -> str:
+    """``value`` as an error message prints it, which is str(value), except
+    that an integer with more digits than str() allows
+    (sys.get_int_max_str_digits()), alone or as a part of a Fraction, is
+    shown by its bit length: -10**5000 prints as "-<16610-bit integer>"."""
+    if isinstance(value, Fraction):
+        text = describe_number(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{describe_number(value.denominator)}"
+    if isinstance(value, int):
+        limit = sys.get_int_max_str_digits()
+        if limit and abs(value) >= 10**limit:
+            return f"{'-' if value < 0 else ''}<{abs(value).bit_length()}-bit integer>"
+    return str(value)
+
+
 def round_binary64(value: Fraction) -> float:
     """The nearest binary64 to value; an infinity beyond binary64's range."""
     try:

@@ -67,6 +67,8 @@ class TestChooseResolution:
         (1, 0.7, "1/10", 27),        # binary64 beta: denominator 2^52
         (4, "0.5" + "0" * 60 + "1", 1, 16),  # 16^beta just above 4
         (4, "0.4" + "9" * 60, 1, 17),        # 16^beta just below 4
+        # (K/eps)^r of exactly _EXACT_BITS bits is still expanded
+        pytest.param(2**65535, 1, 1, 2**65535, id="exact-bits"),
     ])
     def test_values(self, K, beta, eps, expected):
         assert choose_resolution(K, beta, eps) == expected
@@ -84,6 +86,8 @@ class TestChooseResolution:
         (0, 1, 1), (-1, 1, 1), (1, 0, 1), (1, 2, 1), (1, 1, 0), (1, 1, -1),
         (2, 0.01, 1),  # 2^100, with a denominator too large for exact powers
         (1, "1e-400", "1/2"),  # beta rounds to 0.0 in binary64
+        # one bit over _EXACT_BITS, and above 2^_SEED_BITS
+        pytest.param(2**65536, 1, 1, id="over-exact-bits"),
     ])
     def test_rejections(self, K, beta, eps):
         with pytest.raises(DomainError):
@@ -550,3 +554,14 @@ class TestDerivedNetwork:
         assert evaluate(net, x) == evaluate_implicit(bundle, x)
         threshold, _, readout = net.matrices
         assert planned == [("qlower.approx", threshold), ("qlower.approx", readout)]
+
+    def test_root_selector_plan_holds_one_part(self):
+        # root at d=2, eps=1/10: 10,201 selector rows of 201 columns, whose
+        # plan is the 200-column tail once and one constant per row.
+        bundle = build_approximator(builtin_target("root", 2), F(1, 10))
+        assert bundle.grid.M == 100
+        selector = bundle.network._plan[1]
+        assert selector.rows == () and selector.gather is None
+        (part, constants), = selector.groups
+        assert part == qlower.approx._selector_tail(bundle.grid) and len(part) == 200
+        assert list(constants) == list(range(10_201))

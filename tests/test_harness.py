@@ -45,6 +45,7 @@ from qlower import (
     write_report_csv,
 )
 from qlower.approx import GridSpec, bundle_stats
+from qlower.lowering import TheoremBoundParams, theorem_bounds
 from qlower.rationals import format_rational
 from qlower.harness import CSV_COLUMNS
 
@@ -222,6 +223,9 @@ class TestCheckHolder:
             with pytest.raises(DomainError) as err:
                 check_holder(spec, pairs=2000, name="probe")
             assert str(err.value) == want
+
+    def test_one_pair_is_accepted(self):
+        check_holder(builtin_target("mean", 2), pairs=1)
 
     @pytest.mark.parametrize("pairs", [0, -3])
     def test_fewer_than_one_pair_refused(self, pairs):
@@ -488,6 +492,42 @@ class TestHostileEvaluators:
         assert isinstance(err.value.__cause__, ParseError)
 
 
+HUGE = 10**5000  # more digits than str() prints by default
+IDENTITY = Network(1, (WeightMatrix(1, 2, (F(0), F(1))),), ActivationKind.RELU)
+HUGE_ARGUMENTS = {
+    "equivalence_check-tolerance": lambda: equivalence_check(IDENTITY, IDENTITY, tolerance=-HUGE),
+    "equivalence_check-n_samples": lambda: equivalence_check(IDENTITY, IDENTITY, n_samples=-HUGE),
+    "check_holder-pairs": lambda: check_holder(builtin_target("mean", 1), pairs=-HUGE),
+    "build_approximator-epsilon": lambda: build_approximator(builtin_target("mean", 1), -HUGE),
+    "GridSpec-M": lambda: GridSpec(1, -HUGE),
+    "HolderFunctionSpec-d": lambda: HolderFunctionSpec(lambda x: 0, -HUGE, 1, 1, 1),
+    "sup_error-n_per_axis": lambda: sup_error(
+        build_approximator(builtin_target("mean", 1), F(1, 2)), builtin_target("mean", 1),
+        n_per_axis=-HUGE),
+    "cell_index-coordinate": lambda: cell_index([F(HUGE, 3)], GridSpec(1, 2)),
+    "Network-input_dim": lambda: Network(-HUGE, (WeightMatrix(1, 2, (F(0), F(1))),),
+                                         ActivationKind.RELU),
+    "theorem_bounds-m": lambda: theorem_bounds(TheoremBoundParams(-HUGE, 20, 1.0, 1, 1.0)),
+    "theorem_bounds-d": lambda: theorem_bounds(TheoremBoundParams(1, 20, 1.0, -HUGE, 1.0)),
+    "theorem_bounds-N": lambda: theorem_bounds(TheoremBoundParams(1, -HUGE, 1.0, 1, 1.0)),
+}
+
+
+class TestHostileNumbers:
+    """A number too long for str() is refused with a QlowerError whose
+    message shows it by its bit length, not with the ValueError that
+    printing it in full would raise."""
+
+    @pytest.mark.parametrize("call", HUGE_ARGUMENTS.values(), ids=HUGE_ARGUMENTS.keys())
+    def test_refused_with_its_bit_length(self, call):
+        with pytest.raises(QlowerError, match="<16610-bit integer>"):
+            call()
+
+    def test_nan_beta_refused_by_theorem_bounds(self):
+        with pytest.raises(DomainError, match="beta must be positive, got nan"):
+            theorem_bounds(TheoremBoundParams(1, 20, math.nan, 1, 1.0))
+
+
 class TestReportFields:
     """A report holds what its check found, not the inputs it was given."""
 
@@ -527,6 +567,10 @@ class TestEquivalenceCheck:
         assert fwd.max_abs_diff == rev.max_abs_diff
         assert fwd.first_divergence is not None
         assert fwd.first_divergence["point"] == rev.first_divergence["point"]
+
+    def test_one_sample_is_accepted(self):
+        net = random_network(random.Random(6), 2, 2, 4)
+        assert equivalence_check(net, net, n_samples=1) == EquivalenceReport(True, 0.0, None)
 
     def test_determinism(self):
         rng = random.Random(4)

@@ -88,8 +88,13 @@ def reference_trace(reference, net, x):
     return trace
 
 
+def expanded_rows(layer):
+    """A plan layer's rows in full, in the order the plan computes them."""
+    return layer.rows + tuple((c, *part) for part, constants in layer.groups for c in constants)
+
+
 def plan_widths(net):
-    return tuple(len(layer.rows) for layer in net._plan)
+    return tuple(len(expanded_rows(layer)) for layer in net._plan)
 
 
 class TestEvaluationPlan:
@@ -124,7 +129,32 @@ class TestEvaluationPlan:
             mat([[1, 2, 3]]),
         ), ActivationKind.INDICATOR01)
         assert plan_widths(net) == (3, 3, 1)
+        # (0, 2, 0) and (-1, 2, 0) share their part and follow the row
+        # (0, 0, 2), so the next layer reads the merged units in that order.
+        assert net._plan[0].rows == ((0, 0, 2),)
+        assert net._plan[0].groups == (((2, 0), (0, -1)),)
+        assert net._plan[0].gather == (1, 2, 1, 0, 2)
         points = [[Fraction(a, 4), Fraction(b, 4)] for a in range(5) for b in range(5)]
+        self.assert_matches_reference(reference, net, points)
+
+    @pytest.mark.parametrize("activation", list(ActivationKind))
+    def test_rows_that_share_a_part_differ_in_their_constant(self, reference, activation):
+        # Layer 0 computes x, x, x - 1/2, 1 - x and 1/2 - x: two parts,
+        # 2x and -2x, with two constants each. Units 0 and 1 merge, so
+        # layer 1's columns 0 and 1 fold into its column 0: its first three
+        # rows all read (c, 2, 0, 0), with c = 1, 2 and 2, and its last row
+        # has a part of its own.
+        net = Network(1, (
+            mat([[0, 1], [0, 1], ["-1/2", 1], [1, -1], ["1/2", -1]]),
+            mat([[0, 1, 2, 0, 0], [1, 1, 2, 0, 0], [2, 0, 2, 0, 0], [1, 0, 0, 1, 1]]),
+            mat([[1, -1, 3, 2]]),
+        ), activation)
+        first, second, _ = net._plan
+        assert first.rows == () and first.groups == (((2,), (0, -1)), ((-2,), (2, 1)))
+        assert first.gather == (0, 0, 1, 2, 3)
+        assert second.rows == ((1, 0, 1, 1),) and second.groups == (((2, 0, 0), (1, 2)),)
+        assert second.gather == (1, 2, 2, 0)
+        points = [[Fraction(k, 8)] for k in range(9)] + [[Fraction(1, 3)], [Fraction(5, 7)]]
         self.assert_matches_reference(reference, net, points)
 
     def test_identical_output_rows(self, reference):
@@ -158,6 +188,12 @@ class TestEvaluationPlan:
         net = build_approximator(mean, Fraction(1, 4)).network
         assert [layer.gather for layer in net._plan] == [None, None, None]
         assert plan_widths(net) == tuple(m.rows for m in net.matrices)
+        # The threshold rows of each axis share one part, and all selector
+        # rows share the tail; so does the plan of the same net rebuilt.
+        rebuilt = Network(2, net.matrices, net.activation)
+        for plan in (net._plan, rebuilt._plan):
+            assert [(len(layer.rows), len(layer.groups)) for layer in plan] == [(1, 2), (0, 1), (1, 0)]
+            assert [layer.gather for layer in plan] == [None, None, None]
 
 
 class TestShapes:
@@ -402,11 +438,14 @@ def reference_serialize(net):
 
 
 def reference_plan(net):
-    """(scale, rows, gather) of every layer, computed entry by entry."""
+    """(scale, rows, gather) of every layer, computed entry by entry. The
+    distinct rows come in the plan's order: each row whose part (columns
+    1 onward) no other row has, then the rows of each shared part, parts
+    in order of first appearance."""
     plan, merged = [], None
     for m in net.matrices:
         scale = math.lcm(*(e.denominator for e in m.entries))
-        index, gather = {}, []
+        index, first = {}, []
         for r in range(m.rows):
             row = [e.numerator * (scale // e.denominator) for e in m.row(r)]
             if merged is not None:
@@ -414,8 +453,16 @@ def reference_plan(net):
                 for j, w in zip(merged, row):
                     summed[j] += w
                 row = summed
-            gather.append(index.setdefault(tuple(row), len(index)))
-        plan.append((scale, tuple(index), None if len(index) == m.rows else tuple(gather)))
+            first.append(index.setdefault(tuple(row), len(index)))
+        by_part = {}
+        for row in index:
+            by_part.setdefault(row[1:], []).append(row)
+        order = [rows[0] for rows in by_part.values() if len(rows) == 1]
+        order += [row for rows in by_part.values() if len(rows) > 1 for row in rows]
+        position = {row: p for p, row in enumerate(order)}
+        distinct = list(index)
+        gather = tuple(position[distinct[i]] for i in first)
+        plan.append((scale, tuple(order), None if gather == tuple(range(m.rows)) else gather))
         merged = plan[-1][2]
     return plan
 
@@ -501,7 +548,8 @@ class TestMemoizedParsing:
         nets.append(approximator_net)
         for k, net in enumerate(nets):
             assert serialize(net) == reference_serialize(net), k
-            assert [tuple(layer) for layer in net._plan] == reference_plan(net), k
+            expanded = [(layer.scale, expanded_rows(layer), layer.gather) for layer in net._plan]
+            assert expanded == reference_plan(net), k
 
     def test_each_distinct_string_is_parsed_once(self, monkeypatch, approximator_net):
         data = serialize(approximator_net)
@@ -549,7 +597,7 @@ class TestDistinctObjectWork:
         net = Network(2, approximator_net.matrices, approximator_net.activation)
         for mat_, layer in zip(net.matrices, net._plan):
             objects = len({id(e) for e in mat_.entries})
-            ints = {id(v) for row in layer.rows for v in row}
+            ints = {id(v) for row in expanded_rows(layer) for v in row}
             assert len(ints) <= objects
 
     def test_writer_formats_each_object_once(self, monkeypatch, approximator_net):

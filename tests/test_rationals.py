@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qlower import ParseError, as_rational, format_rational
-from qlower.rationals import lcm_denominators
+from qlower.rationals import describe_number, lcm_denominators
 
 
 class TestAsRational:
@@ -62,6 +62,32 @@ class TestFormatRational:
     @given(st.fractions())
     def test_round_trip(self, q):
         assert as_rational(format_rational(q)) == q
+
+
+class TestDescribeNumber:
+    @pytest.mark.parametrize("value", [0, -7, pytest.param(10**4299, id="4300-digits"), True,
+                                       0.5, float("nan"), Fraction(-3, 4), Fraction(5), "1e9",
+                                       None])
+    def test_prints_what_str_prints(self, value):
+        assert describe_number(value) == str(value)
+
+    @pytest.mark.parametrize("value, expected", [
+        pytest.param(10**4300, "<14285-bit integer>", id="4301-digits"),
+        pytest.param(-10**5000, "-<16610-bit integer>", id="negative"),
+        pytest.param(Fraction(10**5000), "<16610-bit integer>", id="fraction-integer"),
+        pytest.param(Fraction(-10**5000, 3), "-<16610-bit integer>/3", id="numerator"),
+        pytest.param(Fraction(1, 10**5000), "1/<16610-bit integer>", id="denominator"),
+    ])
+    def test_abbreviates_an_integer_str_refuses(self, value, expected):
+        assert describe_number(value) == expected
+
+    def test_follows_int_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)  # 0 lifts the limit
+            assert describe_number(10**5000) == str(10**5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestLcmDenominators:
