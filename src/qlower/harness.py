@@ -30,6 +30,10 @@ from .rationals import RationalLike, as_rational, describe_number, format_ration
 
 HOLDER_CHECK_PAIRS = 10_000
 
+# Points equivalence_check runs through a net in one packed pass; a unit
+# then holds at most this many lanes.
+_EQUIVALENCE_CHUNK = 128
+
 # Slack for spot checks that must run in binary64 (irrational targets or
 # fractional beta): covers rounding of the evaluator and of |x-y|^beta.
 FLOAT_CHECK_SLACK = 1e-12
@@ -80,13 +84,19 @@ def check_holder(
     decided exactly in integers: with fx = a/b, fy = c/e and K = Kn/Kd,
     |fx-fy| > K*gap/256 is |a*e - c*b| * Kd * 256 > Kn * gap * b * e.
     Otherwise it is decided in binary64 with a tiny slack; a difference
-    beyond its range is inf. Raises DomainError on a violated pair, and
-    on fewer than 1 pair. Sampling cannot prove the claim, only catch
-    wrong constants.
+    beyond its range is inf. Raises DomainError on a violated pair, on
+    fewer than 1 pair, and on a seed too large for str() to print, and
+    CapacityError on more pairs than QLOWER_CAP, before any is drawn.
+    Sampling cannot prove the claim, only catch wrong constants.
     """
     if pairs < 1:
         raise DomainError(f"need at least 1 pair, got {describe_number(pairs)}")
-    rng = random.Random(f"holder:{name}:{spec.d}:{seed}:{pairs}")
+    check_cap("Hoelder spot check", "pairs", "check fewer pairs", pairs)
+    try:
+        seed_text = str(seed)
+    except ValueError:  # an integer with more digits than str() allows
+        raise DomainError(f"seed {describe_number(seed)} is too large to print") from None
+    rng = random.Random(f"holder:{name}:{spec.d}:{seed_text}:{pairs}")
     exact = spec.beta == 1
     K_n, K_d = spec.K.numerator, spec.K.denominator
     K_f, beta_f = float(spec.K), float(spec.beta)
@@ -266,13 +276,17 @@ def equivalence_check(
 
     Outputs differ where their exact difference is more than
     ``tolerance``, which must be finite and non-negative; the default 0
-    demands equal outputs. Both nets run in integers on the point k/256
-    through ``forward_integers``, and each comparison is decided by
-    cross-multiplied integers, as in ``sup_error``: no value is built for a
-    sample. ``max_abs_diff`` is the largest exact difference rounded once
-    to binary64 (inf beyond its range), and ``first_divergence`` holds
-    exact values as text. Sampling cannot prove equivalence, only exhibit
-    a divergence.
+    demands equal outputs. The points k/256 are drawn in chunks of
+    _EQUIVALENCE_CHUNK, and each net runs once per chunk through
+    ``forward_integers``, whose units then hold one lane per point: a
+    unit takes at most 128·B bits, B the lane width its exact bound asks
+    for, however many samples are drawn. Each comparison is decided per
+    sample, in sample order, by cross-multiplied integers, as in
+    ``sup_error``: no value is built for a sample. ``max_abs_diff`` is the
+    largest exact difference rounded once to binary64 (inf beyond its
+    range), and ``first_divergence`` holds exact values as text. More
+    samples than QLOWER_CAP raise CapacityError before any is drawn.
+    Sampling cannot prove equivalence, only exhibit a divergence.
     """
     if a.input_dim != b.input_dim:
         raise DimensionError(
@@ -286,25 +300,29 @@ def equivalence_check(
     if isinstance(tolerance, float) and not math.isfinite(tolerance) or tolerance < 0:
         raise DomainError(
             f"tolerance must be finite and non-negative, got {describe_number(tolerance)}")
+    check_cap("equivalence check", "samples", "draw fewer samples", n_samples)
     tol_n, tol_d = Fraction(tolerance).as_integer_ratio()
     rng = random.Random(seed)
     # The largest difference so far is worst_n/worst_d. With outputs p/da
     # and q/db, |p/da - q/db| is |p*db - q*da| / (da*db).
     worst_n, worst_d = 0, 1
     first: Optional[dict] = None
-    for _ in range(n_samples):
-        ks = [rng.randrange(257) for _ in range(a.input_dim)]
-        pa, da = forward_integers(a, [256, *ks], 256)
-        pb, db = forward_integers(b, [256, *ks], 256)
-        n, nd = max(abs(p * db - q * da) for p, q in zip(pa, pb)), da * db
-        if n * worst_d > worst_n * nd:
-            worst_n, worst_d = n, nd
-        if first is None and n * tol_d > tol_n * nd:
-            first = {
-                "point": [format_rational(Fraction(k, 256)) for k in ks],
-                "a": [format_rational(Fraction(p, da)) for p in pa],
-                "b": [format_rational(Fraction(q, db)) for q in pb],
-            }
+    for start in range(0, n_samples, _EQUIVALENCE_CHUNK):
+        chunk = [[rng.randrange(257) for _ in range(a.input_dim)]
+                 for _ in range(min(_EQUIVALENCE_CHUNK, n_samples - start))]
+        outs_a, da = forward_integers(a, chunk, 256)
+        outs_b, db = forward_integers(b, chunk, 256)
+        nd = da * db
+        for ks, pa, pb in zip(chunk, outs_a, outs_b):
+            n = max(abs(p * db - q * da) for p, q in zip(pa, pb))
+            if n * worst_d > worst_n * nd:
+                worst_n, worst_d = n, nd
+            if first is None and n * tol_d > tol_n * nd:
+                first = {
+                    "point": [format_rational(Fraction(k, 256)) for k in ks],
+                    "a": [format_rational(Fraction(p, da)) for p in pa],
+                    "b": [format_rational(Fraction(q, db)) for q in pb],
+                }
     return EquivalenceReport(
         equivalent=first is None,
         max_abs_diff=round_binary64(Fraction(worst_n, worst_d)),

@@ -13,8 +13,13 @@ readers is safe.
 Exact evaluation never touches floats. One loop, ``forward_integers``,
 computes each layer in integers over a running common denominator, which
 avoids per-operation gcd reduction and is exact for arbitrary rational
-weights and inputs. ``evaluate`` and ``forward_trace`` wrap it, and
-``harness.equivalence_check`` calls it directly on integer points.
+weights and inputs. ``evaluate`` and ``forward_trace`` wrap it with one
+point. ``harness.equivalence_check`` calls it directly on up to 128
+integer points at once, which run through each layer together: each
+unit holds one integer whose fixed-width lanes are the points' values,
+so a row takes one dot product for all of them, and the activation acts
+on every lane by bit masks. The lane width comes from an exact bound on
+every value a lane takes, so no lane carries into its neighbour.
 
 It runs on a row-quotient plan that each network builds once, on first
 use. Units whose rows are identical compute identical values, so every
@@ -47,7 +52,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import DimensionError, ParseError
 from .rationals import RationalLike, as_rational, describe_number, format_rational, lcm_denominators
@@ -294,24 +299,45 @@ class ValidationReport:
         return self.passed
 
 
-def forward_integers(net: Network, nums: list[int], den: int, trace: list | None = None):
-    """Run the net on the point nums[1:]/den, where nums[0] == den is the
-    constant coordinate and den > 0: the one evaluation loop.
+def forward_integers(net: Network, points: Sequence[Sequence[int]], den: int,
+                     trace: list | None = None):
+    """Run the net on each point p/den of ``points``, where den > 0 and
+    each p holds input_dim integer numerators: the one evaluation loop.
 
-    Returns the output numerators, one per output unit with the output
-    scale applied, and their one positive denominator. Each layer works
-    on integers over a running common denominator, one value per distinct
-    unit of the plan, and ReLU is fused into the row sums. A group's part
-    takes one dot product with nums[1:], and each of its rows adds its
-    constant times nums[0]. ``trace``, when given, receives each hidden
-    layer's values as Fractions, one per unit.
+    Returns a list with one tuple of output numerators per point, one per
+    output unit with the output scale applied, and their one positive
+    denominator. Each layer works on integers over a running common
+    denominator, one value per distinct unit of the plan; the constant
+    coordinate enters as den. A group's part takes one dot product with
+    nums[1:], and each of its rows adds its constant times nums[0].
+
+    One point runs on plain integers, with the activation fused into the
+    row sums. Two or more run together, packed into lanes (``_Lanes``):
+    each unit holds one integer whose B-bit lanes are the points' values,
+    so a row takes one dot product for every point, and the activation
+    acts on every lane at once by bit masks. B comes from an exact bound
+    on every value a lane takes, so a unit of L points takes L·B bits.
+    ``trace``, when given, receives each hidden layer's values as
+    Fractions, one per unit; it needs a single point.
     """
+    if trace is not None and len(points) != 1:
+        raise ValueError("forward_integers traces a single point")
     plan = net._plan
     relu = net.activation is ActivationKind.RELU
+    if len(points) > 1:
+        columns = list(zip(*points))
+        lanes = _Lanes(net, columns, den)
+        nums = lanes.pack(columns, den)
+    else:
+        lanes, nums = None, [den, *points[0]]
     for layer in plan[:-1]:
         den *= layer.scale
         shared = layer.groups and _part_sums(layer.groups, nums)
-        if relu:
+        if lanes:
+            nums = lanes.activate((sum(map(mul, row, nums)) for row in layer.rows), relu, den)
+            for s, n0, constants in shared:
+                nums += lanes.activate((s + c * n0 for c in constants), relu, den)
+        elif relu:
             nums = [s if (s := sum(map(mul, row, nums))) > 0 else 0 for row in layer.rows]
             for s, n0, constants in shared:
                 nums += [v if (v := s + c * n0) > 0 else 0 for c in constants]
@@ -319,6 +345,7 @@ def forward_integers(net: Network, nums: list[int], den: int, trace: list | None
             nums = [1 if 0 <= sum(map(mul, row, nums)) < den else 0 for row in layer.rows]
             for s, n0, constants in shared:
                 nums += [1 if 0 <= s + c * n0 < den else 0 for c in constants]
+        if not relu:
             den = 1
         if trace is not None:
             trace.append(_expand([Fraction(n, den) for n in nums], layer.gather))
@@ -327,7 +354,85 @@ def forward_integers(net: Network, nums: list[int], den: int, trace: list | None
     out = [sum(map(mul, row, nums)) * k for row in last.rows]
     for s, n0, constants in shared:
         out += [(s + c * n0) * k for c in constants]
-    return _expand(out, last.gather), den * last.scale * scale.denominator
+    den *= last.scale * scale.denominator
+    if lanes:
+        return list(zip(*_expand(list(map(lanes.unpack, out)), last.gather))), den
+    return [_expand(out, last.gather)], den
+
+
+class _Lanes:
+    """Several points' values of a unit, packed side by side in one integer.
+
+    Point s's value v sits in bits [B·s, B·s + B) of P = Σ v_s·2^(B·s).
+    P is a signed sum, and the borrows between lanes are harmless, since
+    the rows act on P linearly. Every lane value that is packed, compared
+    or unpacked lies in (-2^(B-1), 2^(B-1)), so P + H, with
+    H = 2^(B-1) per lane, has each lane in [0, 2^B) with no carry between
+    lanes, and bit B-1 of a lane is set exactly where v >= 0.
+
+    B is the bit length of a bound on every such value, plus 2, rounded
+    up to a byte. The bound starts at the inputs' largest |value| and is
+    multiplied, layer by layer, by the plan's largest row l1 norm (a
+    group's is Σ|part| + max|constant|), and on the last layer by the
+    output scale's numerator. An indicator layer compares s and s - den,
+    so it counts max(bound, den), and its output is at most 1. The +2
+    keeps |s - den| <= 2·max(bound, den) < 2^(B-1).
+    """
+
+    def __init__(self, net: Network, columns: list[tuple[int, ...]], den: int):
+        relu = net.activation is ActivationKind.RELU
+        top = bound = max(den, max(map(max, columns)), -min(map(min, columns)))
+        *hidden, last = net._plan
+        for layer in hidden:
+            bound *= _row_norm(layer)
+            if relu:
+                top = max(top, bound)
+            else:
+                top = max(top, bound, den * layer.scale)
+                bound = den = 1
+        top = max(top, bound * _row_norm(last) * abs(net.output_scale.numerator))
+        self.size = (top.bit_length() + 2 + 7) // 8  # bytes per lane
+        self.count = len(columns[0])
+        self.sign = 8 * self.size - 1  # B - 1
+        self.ones = int.from_bytes((b"\1" + bytes(self.size - 1)) * self.count, "little")
+        self.offset = self.ones << self.sign  # H
+
+    def pack(self, columns: list[tuple[int, ...]], den: int) -> list[int]:
+        """The input units: the constant den, then one per coordinate."""
+        size, half = self.size, 1 << self.sign
+        return [den * self.ones, *(
+            int.from_bytes(b"".join([(v + half).to_bytes(size, "little") for v in column]),
+                           "little") - self.offset
+            for column in columns)]
+
+    def activate(self, sums: Iterable[int], relu: bool, den: int) -> list[int]:
+        """ReLU, or the indicator 0 <= s < den, of every lane of each sum.
+        ``sums`` may be a generator, so no list of them is held."""
+        ones, offset, sign = self.ones, self.offset, self.sign
+        if relu:
+            mask, out = (2 << sign) - 1, []
+            for s in sums:
+                t = s + offset
+                pos = (t >> sign) & ones
+                out.append((t & pos * mask) - (pos << sign))
+            return out
+        # the lanes with s >= 0, less those with s - den >= 0 (den > 0)
+        below = offset - den * ones
+        return [((s + offset) >> sign & ones) ^ ((s + below) >> sign & ones) for s in sums]
+
+    def unpack(self, packed: int) -> list[int]:
+        """The lane values of one unit, in point order."""
+        size, half = self.size, 1 << self.sign
+        data = (packed + self.offset).to_bytes(size * self.count, "little")
+        return [int.from_bytes(data[i:i + size], "little") - half
+                for i in range(0, len(data), size)]
+
+
+def _row_norm(layer: LayerPlan) -> int:
+    """The largest l1 norm of the layer's rows."""
+    return max([sum(map(abs, row)) for row in layer.rows]
+               + [sum(map(abs, part)) + max(map(abs, constants))
+                  for part, constants in layer.groups])
 
 
 def _part_sums(groups: tuple, nums: list[int]) -> list:
@@ -346,8 +451,8 @@ def _forward(net: Network, x: Sequence[RationalLike], trace: list | None = None)
             f"input has {len(x)} coordinates, network expects {net.input_dim}", layer=0)
     xs = [as_rational(v) for v in x]
     den = lcm_denominators(xs)
-    nums = [den] + [f.numerator * (den // f.denominator) for f in xs]
-    nums, den = forward_integers(net, nums, den, trace)
+    (nums,), den = forward_integers(
+        net, [[f.numerator * (den // f.denominator) for f in xs]], den, trace)
     out = tuple(Fraction(n, den) for n in nums)
     return out[0] if len(out) == 1 else out
 

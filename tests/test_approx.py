@@ -69,6 +69,9 @@ class TestChooseResolution:
         (4, "0.4" + "9" * 60, 1, 17),        # 16^beta just below 4
         # (K/eps)^r of exactly _EXACT_BITS bits is still expanded
         pytest.param(2**65535, 1, 1, 2**65535, id="exact-bits"),
+        # on the logarithm path, log2 of the root is exactly _SEED_BITS: still
+        # seeded, and 2^50 + 1 is the least N with N^beta >= 2^50
+        pytest.param(2**50, 1 - F(1, 2**60), 1, 2**50 + 1, id="seed-bits"),
     ])
     def test_values(self, K, beta, eps, expected):
         assert choose_resolution(K, beta, eps) == expected

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -223,6 +224,24 @@ class TestCheckHolder:
             with pytest.raises(DomainError) as err:
                 check_holder(spec, pairs=2000, name="probe")
             assert str(err.value) == want
+
+    def test_unit_beta_decided_exactly_not_with_the_float_slack(self):
+        # 10^-15 * gap/256 over the claim is far inside FLOAT_CHECK_SLACK
+        spec = HolderFunctionSpec(lambda x: x[0] * F(10**15 + 1, 10**15), 1, 1, 1, 1)
+        with pytest.raises(DomainError, match="violates"):
+            check_holder(spec, pairs=500, name="probe")
+
+    def test_float_pair_exactly_at_the_slackened_bound_passes(self):
+        # f(x) - f(0) is K*(gap/256)**beta + FLOAT_CHECK_SLACK, computed as
+        # check_holder computes its bound, on every pair drawn with y = 0.
+        slack = qlower.harness.FLOAT_CHECK_SLACK
+
+        def at_bound(x):
+            return (float(x[0]) ** 0.5 + slack) if x[0] else 0.0
+
+        points = self.drawn_points("probe", 1, 0, 2000)
+        assert any(y[0] == 0 < x[0] for x, y in zip(points[::2], points[1::2]))
+        check_holder(HolderFunctionSpec(at_bound, 1, F(1, 2), 1, 1), pairs=2000, name="probe")
 
     def test_one_pair_is_accepted(self):
         check_holder(builtin_target("mean", 2), pairs=1)
@@ -498,6 +517,7 @@ HUGE_ARGUMENTS = {
     "equivalence_check-tolerance": lambda: equivalence_check(IDENTITY, IDENTITY, tolerance=-HUGE),
     "equivalence_check-n_samples": lambda: equivalence_check(IDENTITY, IDENTITY, n_samples=-HUGE),
     "check_holder-pairs": lambda: check_holder(builtin_target("mean", 1), pairs=-HUGE),
+    "check_holder-seed": lambda: check_holder(builtin_target("mean", 1), pairs=1, seed=HUGE),
     "build_approximator-epsilon": lambda: build_approximator(builtin_target("mean", 1), -HUGE),
     "GridSpec-M": lambda: GridSpec(1, -HUGE),
     "HolderFunctionSpec-d": lambda: HolderFunctionSpec(lambda x: 0, -HUGE, 1, 1, 1),
@@ -526,6 +546,41 @@ class TestHostileNumbers:
     def test_nan_beta_refused_by_theorem_bounds(self):
         with pytest.raises(DomainError, match="beta must be positive, got nan"):
             theorem_bounds(TheoremBoundParams(1, 20, math.nan, 1, 1.0))
+
+
+def never_called(x):
+    raise AssertionError("a pair was drawn")
+
+
+COUNTED_CALLS = {
+    "check_holder": lambda n: check_holder(HolderFunctionSpec(never_called, 1, 1, 1, 1), pairs=n),
+    "equivalence_check": lambda n: equivalence_check(IDENTITY, IDENTITY, n_samples=n),
+}
+
+
+class TestHostileCounts:
+    """More pairs or samples than QLOWER_CAP are refused before any is
+    drawn, at once, however many are asked for."""
+
+    @pytest.mark.parametrize("name", COUNTED_CALLS)
+    @pytest.mark.parametrize("count, required", [(10**12, 10**12), (HUGE, "at least 2^16609")],
+                             ids=["1e12", "1e5000"])
+    def test_refused_at_once(self, name, count, required):
+        start = time.process_time()
+        with pytest.raises(CapacityError) as err:
+            COUNTED_CALLS[name](count)
+        assert time.process_time() - start < 1.0
+        assert err.value.required == required
+
+    @pytest.mark.parametrize("name", COUNTED_CALLS)
+    def test_count_at_the_cap_runs(self, name, monkeypatch):
+        monkeypatch.setenv("QLOWER_CAP", "40")
+        with pytest.raises(CapacityError, match="needs 41 "):
+            COUNTED_CALLS[name](41)
+        if name == "equivalence_check":
+            assert equivalence_check(IDENTITY, IDENTITY, n_samples=40).equivalent
+        else:
+            check_holder(builtin_target("mean", 1), pairs=40)
 
 
 class TestReportFields:
@@ -720,6 +775,13 @@ class TestEquivalenceParity:
             if tolerance == 0:
                 assert report.equivalent is verdict
 
+    @pytest.mark.parametrize("a, b", [p[1:3] for p in PARITY], ids=[p[0] for p in PARITY])
+    @pytest.mark.parametrize("n_samples", [1, 127, 128, 129, 257])
+    def test_report_across_chunk_boundaries(self, a, b, n_samples):
+        for tolerance in (0, F(1, 4)):
+            report = equivalence_check(a, b, n_samples=n_samples, seed=2, tolerance=tolerance)
+            assert report == plain_equivalence(a, b, n_samples, 2, tolerance)[0]
+
     @pytest.mark.parametrize("a, b", [p[1:3] for p in PARITY if not p[3]],
                              ids=[p[0] for p in PARITY if not p[3]])
     def test_tolerance_equal_to_the_largest_difference_is_no_divergence(self, a, b):
@@ -744,15 +806,15 @@ class TestIntegerEquivalenceWork:
         def refuse(*args, **kwargs):
             raise AssertionError("evaluate called")
 
-        def counting(net, nums, den, trace=None):
+        def counting(net, points, den, trace=None):
             runs.append(net)
-            return real(net, nums, den, trace)
+            return real(net, points, den, trace)
 
         monkeypatch.setattr(qlower.network, "evaluate", refuse)
         monkeypatch.setattr(qlower.harness, "forward_integers", counting)
         report = equivalence_check(source, binary, n_samples=30)
         assert report.equivalent and report.max_abs_diff == 0.0
-        assert runs == [source, binary] * 30
+        assert runs == [source, binary]  # one run per net per chunk
 
 
 class TestRandomNetwork:

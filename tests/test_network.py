@@ -37,6 +37,7 @@ from qlower import (
     to_unit_weights,
     validate,
 )
+from qlower.network import forward_integers
 from qlower.rationals import format_rational
 from conftest import mat, relu_net
 from test_acceptance import CORPUS_SIZE, _lowered, _make_source
@@ -194,6 +195,80 @@ class TestEvaluationPlan:
         for plan in (net._plan, rebuilt._plan):
             assert [(len(layer.rows), len(layer.groups)) for layer in plan] == [(1, 2), (0, 1), (1, 0)]
             assert [layer.gather for layer in plan] == [None, None, None]
+
+
+def one_by_one(net, points, den):
+    """forward_integers run on each point alone, as one batch result."""
+    runs = [forward_integers(net, [p], den) for p in points]
+    assert len({d for _, d in runs}) == 1
+    return [out for (out,), _ in runs], runs[0][1]
+
+
+LANE_BATCHES = [1, 2, 127, 128, 129, 257]
+SMALL_WEIGHTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 4)]
+BIG_FRACTIONS = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+
+
+@st.composite
+def lane_nets(draw):
+    """ReLU and indicator nets of 0-3 hidden layers; entries repeat small
+    values, so rows merge and share parts, or are large unrestricted."""
+    activation = draw(st.sampled_from(list(ActivationKind)))
+    d = draw(st.integers(1, 3))
+    widths = [d + 1] + draw(st.lists(st.integers(1, 5), max_size=3)) + [draw(st.integers(1, 3))]
+    entry = st.one_of(st.sampled_from(SMALL_WEIGHTS), BIG_FRACTIONS)
+    matrices = tuple(WeightMatrix(rows, cols, tuple(draw(st.lists(entry, min_size=rows * cols,
+                                                                  max_size=rows * cols))))
+                     for cols, rows in zip(widths, widths[1:]))
+    scale = draw(st.one_of(st.just(Fraction(1)), BIG_FRACTIONS))
+    return Network(d, matrices, activation, scale)
+
+
+class TestLanes:
+    """A batch packed into lanes gives what each of its points gives alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lane_nets(), st.sampled_from(LANE_BATCHES), st.integers(1, 10**25),
+           st.integers(0, 2**32 - 1))
+    def test_batch_equals_points_run_alone(self, net, size, den, seed):
+        rng = random.Random(seed)
+        spread = rng.choice([1, 2, 10**30])  # points inside and far outside the cube
+        points = [[rng.randint(-spread * den, spread * den) for _ in range(net.input_dim)]
+                  for _ in range(size)]
+        assert forward_integers(net, points, den) == one_by_one(net, points, den)
+
+    @pytest.mark.parametrize("size", LANE_BATCHES)
+    def test_lowered_net_on_dyadic_points(self, size):
+        source = random_network(random.Random(7), 3, 3, 8)
+        rng = random.Random(size)
+        points = [[rng.randrange(257) for _ in range(3)] for _ in range(size)]
+        for net in (source, binarize(ternarize(source)[0])[0]):
+            assert forward_integers(net, points, 256) == one_by_one(net, points, 256)
+
+    def test_pre_activation_at_the_bound(self):
+        # Inputs reach 127 and the first layer's rows have l1 norm 2, so the
+        # bound is 254, of 8 bits: the lanes take 16. The point 127/127
+        # reaches +254 on one unit and -254 on the other.
+        net = relu_net(1, [[1, 1], [-1, -1]], [[1, 0]])
+        points = [[p] for p in range(-127, 128)]
+        outs, den = forward_integers(net, points, 127)
+        assert (outs, den) == one_by_one(net, points, 127)
+        assert outs[-1] == (254,) and outs[0] == (0,)
+
+    def test_indicator_lanes_at_zero_and_at_den(self):
+        # Unit 0 takes p and unit 1 takes p - 64, over den 64: p = 0 and
+        # p = 64 put lanes at exactly 0 and exactly den in one batch.
+        net = Network(1, (mat([[0, 1], [-1, 1]]), mat([[1, 2]])), ActivationKind.INDICATOR01)
+        points = [[p] for p in range(-64, 65)]
+        outs, den = forward_integers(net, points, 64)
+        assert (outs, den) == one_by_one(net, points, 64)
+        assert den == 1
+        assert [outs[p + 64][0] for p in (-1, 0, 63, 64)] == [0, 1, 1, 2]
+
+    def test_trace_needs_one_point(self):
+        net = relu_net(1, [[1, 1]], [[1]])
+        with pytest.raises(ValueError, match="single point"):
+            forward_integers(net, [[1], [2]], 1, trace=[])
 
 
 class TestShapes:
