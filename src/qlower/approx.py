@@ -23,11 +23,12 @@ import itertools
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .errors import CapacityError, DimensionError, DomainError
 from .network import ActivationKind, LayerPlan, Network, WeightMatrix, plan_layer
@@ -280,10 +281,50 @@ def selector_fits(grid: GridSpec) -> bool:
 def _selector_tail(grid: GridSpec) -> tuple[int, ...]:
     """Columns 1..dM of every selector row: -(M+1)^(i-1) over axis i's block.
 
-    Plain ints: they are the one shared part of the selector's plan, and
-    comparing parsed Fraction rows against them takes Fraction's fast
-    integer path."""
+    Plain ints: they are the one shared part of the selector's plan."""
     return tuple(-place for place in grid.place_values for _ in range(grid.M))
+
+
+class _SelectorEntries(Sequence):
+    """The selector's entries, row-major, derived from the grid: row r is
+    (r, tail). It equals, and hashes as, the tuple of its entries. Reads
+    return the same objects: the shared tail Fractions, and Fraction(r)
+    from a list built on the first read of column 0 and stored by
+    setdefault, so that concurrent first reads agree on it."""
+
+    def __init__(self, grid: GridSpec):
+        self._cells, self._cols = grid.cell_count, grid.d * grid.M + 1
+        self._tail = tuple(map(Fraction, _selector_tail(grid)))
+
+    @property
+    def _heads(self) -> list[Fraction]:
+        return vars(self).get("heads") or vars(self).setdefault(
+            "heads", [Fraction(r) for r in range(self._cells)])
+
+    def __len__(self) -> int:
+        return self._cells * self._cols
+
+    def __getitem__(self, key):
+        index = range(len(self))[key]  # negative indices, IndexError, slices
+        r, c = divmod(index if isinstance(index, int) else index.start, self._cols)
+        if isinstance(index, int):
+            return self._tail[c - 1] if c else self._heads[r]
+        if index.step == 1 and c == 0 and len(index) == self._cols:  # a row, in O(cols)
+            return (self._heads[r],) + self._tail
+        return tuple(map(self.__getitem__, index))
+
+    def __iter__(self) -> Iterator[Fraction]:
+        rows = map(tuple.__add__, zip(self._heads), itertools.repeat(self._tail))
+        return itertools.chain.from_iterable(rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _SelectorEntries)):
+            return NotImplemented
+        return len(other) == len(self) and all(self[i:i + self._cols] == other[i:i + self._cols]
+                                               for i in range(0, len(self), self._cols))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 def build_selector_matrix(grid: GridSpec) -> WeightMatrix:
@@ -292,18 +333,13 @@ def build_selector_matrix(grid: GridSpec) -> WeightMatrix:
     Row r carries r in the constant column and -(M+1)^(i-1) in every
     column of axis i's threshold block, so the indicator of the result
     is one-hot at the input's cell index. All entries are integers of
-    magnitude below (M+1)^d.
+    magnitude below (M+1)^d. ``entries`` derives them from the grid; the
+    cap still bounds their count, which the writer and ``validate`` walk.
     """
     cells = grid.cell_count
     width = grid.d * grid.M + 1
     check_cap("selector matrix", "entries", "evaluate implicitly instead", cells * width)
-    tail = tuple(map(Fraction, _selector_tail(grid)))
-    # One pass into the tuple, with no full-size list before it. The
-    # constants are made first, so that no object is allocated while the
-    # tuple grows and the garbage collector does not walk it.
-    heads = [(Fraction(r),) for r in range(cells)]
-    rows = map(tuple.__add__, heads, itertools.repeat(tail))
-    return WeightMatrix(cells, width, tuple(itertools.chain.from_iterable(rows)))
+    return WeightMatrix(cells, width, _SelectorEntries(grid))
 
 
 def bundle_stats(bundle: ApproximatorBundle) -> dict:
@@ -402,11 +438,11 @@ class ApproximatorBundle:
     """The approximator as its grid and readout, plus its error certificate.
 
     The threshold and selector layers follow from the grid alone, so the
-    network is derived on first access; it is None when the selector
-    would exceed the cap. Its evaluation plan is seeded too: the selector
-    layer's from the grid, as one group (``_selector_tail`` with the
-    constants 0..cells-1) without reading the selector's entries, and
-    the threshold and readout layers' by ``plan_layer``.
+    network is derived on first access (None when the selector would
+    exceed the cap), and the selector's entries are a view of the grid.
+    Its evaluation plan is seeded too: the selector layer's from the grid,
+    as one group (``_selector_tail`` with the constants 0..cells-1),
+    and the threshold and readout layers' by ``plan_layer``.
     ``evaluate_implicit`` works either way.
     ``epsilon`` is None for a bundle read back from a network.
     """
@@ -530,6 +566,8 @@ def bundle_from_network(net: Network) -> ApproximatorBundle:
         raise DomainError("selector/readout shapes do not match the inferred grid")
     _require_rows("threshold", w, build_threshold_matrix(grid).row)
     tail = _selector_tail(grid)
+    if v.row(0)[1:] == tail:  # rows that share row 0's objects then compare
+        tail = v.row(0)[1:]   # by identity, without a Fraction.__eq__ per entry
     _require_rows("selector", v, lambda r: (r,) + tail)
     readout = u.scaled_by(net.output_scale).entries
     bundle = ApproximatorBundle(grid, None, readout, None, NOTE_RECONSTRUCTED)

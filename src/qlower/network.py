@@ -30,10 +30,10 @@ net shrinks back to about its source's widths. Rows that differ only in
 column 0 share their other columns, the part: the plan holds a shared
 part once, with one constant per row, and takes its dot product once
 per point. Every selector row of an approximator is ``(r, tail)``, so
-its plan follows from its grid: ``approx`` builds that layer's
-``LayerPlan`` itself, as one group, and seeds the plan; ``plan_layer``
-plans its other layers. Outputs are expanded back to one value per
-unit, as are ``forward_trace``'s layers, so the plan changes no value.
+``approx`` derives its entries from the grid as they are read, and
+seeds its ``LayerPlan`` as one group; ``plan_layer`` plans the rest.
+Outputs are expanded back to one value per unit, as are
+``forward_trace``'s layers, so the plan changes no value.
 
 The plan, ``validate``, the nonzero count, ``scaled_by`` and the writer
 work once per distinct entry object (``by_id``), not once per entry, and
@@ -98,11 +98,12 @@ _WEIGHT_SET_MEMBERS: dict[WeightSet, frozenset[Fraction] | None] = {
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Dense rational matrix; entries row-major, in lowest terms."""
+    """Dense rational matrix; entries row-major, in lowest terms: a tuple, or
+    for an approximator's selector a read-only view of its grid (approx.py)."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    entries: Sequence[Fraction]
 
     def __post_init__(self):
         if self.rows <= 0 or self.cols <= 0:
@@ -617,7 +618,7 @@ def network_from_dict(payload: dict, location: str = "$") -> Network:
 def deserialize(data: Union[bytes, str]) -> Network:
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8")
+            data = data.decode("utf-8")  # the bytes die here, unless the caller holds them
         except UnicodeDecodeError as exc:
             raise ParseError(f"invalid UTF-8: {exc.reason}", location=f"byte {exc.start}") from None
     try:
@@ -628,6 +629,7 @@ def deserialize(data: Union[bytes, str]) -> Network:
         raise ParseError("invalid JSON: nested too deeply") from None
     except ValueError as exc:  # an integer longer than int(str) accepts
         raise ParseError(f"invalid JSON: {exc}") from None
+    del data  # and the text here, before the payload is read
     return network_from_dict(payload)
 
 

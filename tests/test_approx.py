@@ -3,6 +3,7 @@ import importlib
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,13 +13,17 @@ from hypothesis import strategies as st
 
 import qlower.approx
 from qlower import (
+    ActivationKind,
     ApproximatorBundle,
     CapacityError,
     DimensionError,
     DomainError,
     GridSpec,
     HolderFunctionSpec,
+    Network,
     ParseError,
+    WeightMatrix,
+    WeightSet,
     build_approximator,
     build_readout,
     build_selector_matrix,
@@ -34,9 +39,12 @@ from qlower import (
     as_rational,
     round_binary64,
     serialize,
+    sparsity,
+    validate,
 )
 from qlower.approx import NOTE_CERTIFIED, NOTE_USER_M, selector_cap
 from qlower.harness import builtin_spec
+from qlower.network import plan_layer
 
 from conftest import forbid_selector_builds
 
@@ -568,3 +576,116 @@ class TestDerivedNetwork:
         (part, constants), = selector.groups
         assert part == qlower.approx._selector_tail(bundle.grid) and len(part) == 200
         assert list(constants) == list(range(10_201))
+
+    def test_network_holds_no_selector_entries(self):
+        # The 2,050,401 selector entries took 16.7 MB as a tuple; the view
+        # derives them from the grid, and evaluate reads none of them.
+        spec = builtin_target("root", 2)
+        points = [[F(1, 3), F(2, 7)], [0, 0], [1, F(99, 100)]]
+        tracemalloc.start()
+        try:
+            bundle = build_approximator(spec, F(1, 10))
+            values = [evaluate(bundle.network, x) for x in points]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values == [evaluate_implicit(bundle, x) for x in points]
+        assert peak < 2_000_000
+        assert "heads" not in vars(bundle.network.matrices[1].entries)
+
+
+VIEW_GRIDS = [GridSpec(d, M) for d, M in ((1, 1), (1, 4), (2, 1), (2, 3), (3, 1), (3, 2))]
+
+
+def dense_selector(grid):
+    """The selector's entries as a plain tuple, from the formula: row r is
+    r, then -(M+1)^(i-1) in each of axis i's M columns."""
+    tail = [-(grid.M + 1) ** i for i in range(grid.d) for _ in range(grid.M)]
+    return tuple(F(v) for r in range(grid.cell_count) for v in [r, *tail])
+
+
+def bound_or_none(n):
+    return st.none() | st.integers(-n - 5, n + 5)
+
+
+class TestSelectorView:
+    """build_selector_matrix's entries are a view of the grid that must act
+    as the tuple of its entries everywhere."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(VIEW_GRIDS), st.data())
+    def test_indexing_matches_the_tuple(self, grid, data):
+        view, want = build_selector_matrix(grid).entries, dense_selector(grid)
+        n = len(want)
+        i = data.draw(st.integers(-n - 5, n + 5), label="index")
+        if -n <= i < n:
+            assert view[i] == want[i]
+        else:
+            with pytest.raises(IndexError):
+                view[i]
+        step = data.draw(st.none() | st.integers(-7, 7).filter(bool), label="step")
+        s = slice(data.draw(bound_or_none(n), label="start"),
+                  data.draw(bound_or_none(n), label="stop"), step)
+        got = view[s]
+        assert type(got) is tuple and got == want[s]
+
+    @pytest.mark.parametrize("grid", VIEW_GRIDS, ids=str)
+    def test_sequence_protocol_matches_the_tuple(self, grid):
+        v = build_selector_matrix(grid)
+        view, want = v.entries, dense_selector(grid)
+        assert len(view) == len(want) and tuple(view) == want and list(view) == list(want)
+        assert [v.row(r) for r in range(v.rows)] == [
+            want[r * v.cols:(r + 1) * v.cols] for r in range(v.rows)]
+        assert view == want and want == view and not view != want and view == view
+        assert hash(view) == hash(want)
+        assert view == build_selector_matrix(grid).entries
+        assert view != want[:-1] and want[:-1] != view
+        assert view != want[:-1] + (F(7),) and view != list(want)
+        top = grid.cell_count - 1
+        assert F(top) in view and top in view and F(top + 1) not in view
+        assert view.index(F(top)) == want.index(F(top)) and view.count(-1) == want.count(-1)
+
+    def test_reads_return_the_same_objects(self):
+        view = build_selector_matrix(GridSpec(2, 3)).entries
+        assert list(map(id, view)) == list(map(id, view))
+        assert all(a is b for a, b in zip(view[7:40], view[7:40]))
+        # 16 row constants and one shared tail of 6
+        assert len({id(e) for e in view}) == 16 + 6
+
+    @pytest.mark.parametrize("grid", VIEW_GRIDS, ids=str)
+    def test_consumers_agree_with_the_dense_tuple(self, grid):
+        net = build_approximator(linear_spec(grid.d), F(1, 2), M_override=grid.M).network
+        w, v, u = net.matrices
+        dense_v = WeightMatrix(v.rows, v.cols, dense_selector(grid))
+        dense = Network(grid.d, (w, dense_v, u), ActivationKind.INDICATOR01)
+        assert type(dense_v.entries) is tuple and type(v.entries) is not tuple
+        for ws in WeightSet:
+            assert validate(net, ws) == validate(dense, ws)
+        assert sparsity(net) == sparsity(dense)
+        assert v.nonzero_count() == dense_v.nonzero_count()
+        assert v.scaled_by(F(-2, 3)) == dense_v.scaled_by(F(-2, 3))
+        assert plan_layer(v, None) == plan_layer(dense_v, None)
+        seeded = net._plan[1]  # its constants are a range
+        assert plan_layer(v, None) == seeded._replace(
+            groups=tuple((part, tuple(constants)) for part, constants in seeded.groups))
+        assert serialize(net) == serialize(dense)
+        assert net == dense and deserialize(serialize(net)) == net
+        got, want = bundle_from_network(net), bundle_from_network(dense)
+        assert (got.grid, got.readout) == (want.grid, want.readout)
+
+    @pytest.mark.parametrize("r, c, value, message", [
+        (0, 0, F(4), "selector entry (0, 0) is 4, expected 0"),
+        (0, 3, F(-2), "selector entry (0, 3) is -2, expected -1"),
+        (3, 2, F(1, 2), "selector entry (3, 2) is 1/2, expected -1"),
+        (4, 4, F(-5), "selector entry (4, 4) is -5, expected -1"),
+    ])
+    def test_first_differing_selector_entry_is_named(self, r, c, value, message):
+        net = build_approximator(linear_spec(), F(1, 4)).network  # M = 4
+        w, v, u = net.matrices
+        entries = list(v.entries)
+        entries[r * v.cols + c] = value
+        tampered = Network(1, (w, WeightMatrix(v.rows, v.cols, tuple(entries)), u),
+                           ActivationKind.INDICATOR01)
+        with pytest.raises(DomainError) as err:
+            bundle_from_network(tampered)
+        assert str(err.value).startswith(message + ": not the canonical")

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -663,6 +664,37 @@ class TestMalformedBytes:
         with pytest.raises(ParseError) as err:
             deserialize(b'{"input_dim": 1, \xc3(}')
         assert err.value.location == "byte 17"
+
+    @pytest.mark.parametrize("data, location", [
+        (b'{"input_dim": 1, \xc3(}', "byte 17"),
+        (b'{"input_dim": 1,\n "x": }', "line 2 col 7"),
+        *((data, None) for data in MALFORMED_FILES.values()),
+    ])
+    def test_load_network_reports_as_deserialize(self, tmp_path, data, location):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as want:
+            deserialize(data)
+        with pytest.raises(ParseError) as got:
+            load_network(path)
+        assert (str(got.value), got.value.location) == (str(want.value), want.value.location)
+        assert location is None or got.value.location == location
+
+    def test_file_text_is_dropped_before_the_payload_is_read(
+            self, tmp_path, monkeypatch, example_net):
+        # The decoded text is as large as the file; the payload's reader
+        # runs without it.
+        path = tmp_path / "net.json"
+        save_network(example_net, path)
+        real, callers = qlower.network.network_from_dict, []
+
+        def spy(payload):
+            callers.append(set(sys._getframe(1).f_locals))
+            return real(payload)
+
+        monkeypatch.setattr(qlower.network, "network_from_dict", spy)
+        assert load_network(path) == example_net
+        assert callers == [{"payload"}]
 
 
 class TestDistinctObjectWork:
