@@ -27,14 +27,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
+from .approx import check_cap
 from .errors import DomainError
 from .network import (
     ActivationKind,
     Network,
     WeightMatrix,
     WeightSet,
-    by_id,
     sparsity,
     validate,
 )
@@ -125,16 +126,27 @@ def decompose_binary(w: Fraction) -> tuple[Fraction, Fraction]:
     raise DomainError(f"{w} is not in the {{0, +-1/2}} alphabet")
 
 
+def _check_prefix(name: str, d: int, entries: int) -> None:
+    """Refuse a d below 1, or a prefix of more entries than QLOWER_CAP,
+    before it is built."""
+    if d < 1:
+        raise DomainError(f"input dimension must be >= 1, got {describe_number(d)}")
+    check_cap(f"{name} prefix", "entries", "lower a net of lower input dimension", entries)
+
+
+# The prefixes are immutable, so each is built once per d and shared by
+# every net lowered at that d; _check_prefix bounds each one cached.
+@lru_cache(maxsize=16, typed=True)
 def ternary_prefix(d: int) -> Network:
     """Duplication gadget: (1, x) -> four copies of each coordinate.
 
     Two layers over {0, 1/2}: the first fans every input coordinate out
     to four units at weight 1/2 (values stay nonnegative on the cube, so
     ReLU is the identity), the second rebuilds each coordinate as half
-    the sum of its four half-copies. Exactly 20(d+1) nonzero weights.
+    the sum of its four half-copies. Exactly 20(d+1) nonzero weights
+    among 20(d+1)^2 entries. One network per d, built on first use.
     """
-    if d < 1:
-        raise DomainError(f"input dimension must be >= 1, got {describe_number(d)}")
+    _check_prefix("ternary", d, 20 * (d + 1) ** 2)
     n = d + 1
     fan = [[HALF if c == src else ZERO for c in range(n)]
            for src in range(n) for _ in range(4)]
@@ -146,6 +158,7 @@ def ternary_prefix(d: int) -> Network:
                    ActivationKind.RELU)
 
 
+@lru_cache(maxsize=16, typed=True)
 def binary_prefix(d: int) -> Network:
     """Duplication gadget over {+-1/4}: (1, x) -> (1, 1, x_1, x_1, ..., x_d, x_d).
 
@@ -156,9 +169,11 @@ def binary_prefix(d: int) -> Network:
          y_k = (1 - x_k + sum_{i != k} x_i)/4; all nonnegative on the cube;
       2. eight copies of 2*y_0 and four copies of each x_k = 2*y_0 - 2*y_k;
       3. two copies of 1 = (16*y_0 - 4*sum x_i)/4 and two of each x_k.
+
+    With n = d + 1 that is 8n^2 + 10n(4n + 4) entries. One network per d,
+    built on first use.
     """
-    if d < 1:
-        raise DomainError(f"input dimension must be >= 1, got {describe_number(d)}")
+    _check_prefix("binary", d, 8 * (d + 1) ** 2 + 10 * (d + 1) * (4 * d + 8))
 
     def pm(pattern: list[int]) -> list[Fraction]:
         return [QUARTER if s > 0 else -QUARTER for s in pattern]
@@ -234,7 +249,7 @@ def _duplicate_body(
     last = len(matrices) - 1
     for i, mat in enumerate(matrices):
         dup_out = 1 if i == last else copies
-        parts = {k: split(e) for k, e in by_id(mat.entries).items()}
+        parts = {k: split(e) for k, e in mat._objects.items()}
         entries: list[Fraction] = []
         for r in range(mat.rows):
             row = tuple(itertools.chain.from_iterable(map(parts.__getitem__, map(id, mat.row(r)))))

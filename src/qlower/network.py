@@ -35,9 +35,12 @@ seeds its ``LayerPlan`` as one group; ``plan_layer`` plans the rest.
 Outputs are expanded back to one value per unit, as are
 ``forward_trace``'s layers, so the plan changes no value.
 
-The plan, ``validate``, the nonzero count, ``scaled_by`` and the writer
-work once per distinct entry object (``by_id``), not once per entry, and
-equal entries that share one object share one integer in the plan.
+Each matrix finds its distinct entry objects once (``by_id``), on first
+use, and keeps them. The plan, ``validate``, the nonzero count,
+``scaled_by``, the writer and the lowering's unit duplication read them,
+so they work once per distinct entry object, not once per entry, and
+equal entries that share one object share one integer in the plan. The
+plan keys a row that repeats the previous row's objects once.
 
 Every result is exact; a caller that wants binary64 rounds it once, with
 ``rationals.round_binary64``.
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import is_, mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import DimensionError, ParseError
@@ -130,14 +133,25 @@ class WeightMatrix:
     def row(self, r: int) -> tuple[Fraction, ...]:
         return self.entries[r * self.cols:(r + 1) * self.cols]
 
+    @cached_property
+    def _objects(self) -> dict[int, Fraction]:
+        """``by_id(self.entries)``, found once, on first use. Its keys are
+        ids, valid only while these entries live: pickling leaves it out."""
+        return by_id(self.entries)
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state.pop("_objects", None)
+        return state
+
     def scaled_by(self, factor: RationalLike) -> "WeightMatrix":
         f = as_rational(factor)
-        scaled = {k: e * f for k, e in by_id(self.entries).items()}
+        scaled = {k: e * f for k, e in self._objects.items()}
         entries = tuple(map(scaled.__getitem__, map(id, self.entries)))
         return WeightMatrix(self.rows, self.cols, entries)
 
     def nonzero_count(self) -> int:
-        objects = by_id(self.entries)
+        objects = self._objects
         if all(objects.values()):
             return len(self.entries)
         return sum(n for k, n in Counter(map(id, self.entries)).items() if objects[k])
@@ -229,7 +243,8 @@ class LayerPlan(NamedTuple):
 
 def by_id(values: Sequence) -> dict[int, object]:
     """The distinct objects of ``values``, keyed by ``id``, in order of first
-    appearance. The caller keeps ``values`` alive while it uses the keys."""
+    appearance. The caller keeps ``values`` alive while it uses the keys.
+    A ``WeightMatrix`` finds its own once and keeps them."""
     return dict(zip(map(id, values), values))
 
 
@@ -238,8 +253,11 @@ def plan_layer(mat: WeightMatrix, merged: tuple[int, ...] | None) -> LayerPlan:
     (None when the input units are all distinct). Merged columns are
     summed once per distinct row of the matrix. A row is keyed by its
     constant and its part, one object per distinct part, so rows that
-    share a part are never held in full."""
-    objects = by_id(mat.entries)
+    share a part are never held in full. A row whose entries are the
+    previous row's objects reuses that row's key: the lowering writes
+    each row 2, 4 or 8 times in a row, and the reader shares repeats.
+    Rows are compared by identity, so no ``Fraction.__eq__`` runs."""
+    objects = mat._objects
     scale = lcm_denominators(objects.values())
     scaled = {k: e.numerator * (scale // e.denominator) for k, e in objects.items()}
     parts: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -249,10 +267,13 @@ def plan_layer(mat: WeightMatrix, merged: tuple[int, ...] | None) -> LayerPlan:
 
     entries, cols = mat.entries, mat.cols
     raw: dict[tuple[int, tuple[int, ...]], int] = {}
-    raw_gather = [raw.setdefault(key(scaled[id(entries[i])],
-                                     tuple(map(scaled.__getitem__, map(id, entries[i + 1:i + cols])))),
-                                 len(raw))
-                  for i in range(0, len(entries), cols)]
+    raw_gather, prev = [], ()
+    for i in range(0, len(entries), cols):
+        row = entries[i:i + cols]
+        if not (prev and all(map(is_, row, prev))):
+            prev, j = row, raw.setdefault(
+                key(scaled[id(row[0])], tuple(map(scaled.__getitem__, map(id, row[1:])))), len(raw))
+        raw_gather.append(j)
     if merged is None:
         index, of_raw = raw, range(len(raw))
     else:
@@ -490,7 +511,7 @@ def validate(net: Network, weight_set: WeightSet) -> ValidationReport:
     if members is None:
         return ValidationReport(True, weight_set, None)
     for i, mat in enumerate(net.matrices):
-        if all(e in members for e in by_id(mat.entries).values()):
+        if all(e in members for e in mat._objects.values()):
             continue
         idx, e = next((j, e) for j, e in enumerate(mat.entries) if e not in members)
         r, c = divmod(idx, mat.cols)
@@ -522,7 +543,7 @@ def serialize(net: Network) -> bytes:
     text: dict[int, str] = {}
     matrices = []
     for m in net.matrices:
-        for k, e in by_id(m.entries).items():
+        for k, e in m._objects.items():
             if k not in text:
                 text[k] = format_rational(e)
         entries = '",\n    "'.join(map(text.__getitem__, map(id, m.entries)))
@@ -615,27 +636,37 @@ def network_from_dict(payload: dict, location: str = "$") -> Network:
     return Network(input_dim, tuple(matrices), activation, scale)
 
 
-def deserialize(data: Union[bytes, str]) -> Network:
+def _json_payload(data: Union[bytes, str, None], path=None):
+    """The JSON value of ``data``, or of the file at ``path`` when data is
+    None. The file is read here, so its bytes die as they are decoded and
+    its text as this returns: no frame holds either while the payload is
+    read, on any Python version."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")  # the bytes die here, unless the caller holds them
         except UnicodeDecodeError as exc:
             raise ParseError(f"invalid UTF-8: {exc.reason}", location=f"byte {exc.start}") from None
     try:
-        payload = json.loads(data)
+        return json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", location=f"line {exc.lineno} col {exc.colno}") from exc
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
     except ValueError as exc:  # an integer longer than int(str) accepts
         raise ParseError(f"invalid JSON: {exc}") from None
-    del data  # and the text here, before the payload is read
+
+
+def deserialize(data: Union[bytes, str]) -> Network:
+    payload = _json_payload(data)
+    del data  # the text or bytes, before the payload is read
     return network_from_dict(payload)
 
 
 def load_network(path) -> Network:
-    with open(path, "rb") as fh:
-        return deserialize(fh.read())
+    return network_from_dict(_json_payload(None, path))
 
 
 def save_network(net: Network, path) -> None:

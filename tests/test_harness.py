@@ -48,7 +48,7 @@ from qlower import (
 from qlower.approx import GridSpec, bundle_stats
 from qlower.lowering import TheoremBoundParams, theorem_bounds
 from qlower.rationals import format_rational
-from qlower.harness import CSV_COLUMNS
+from qlower.harness import CSV_COLUMNS, _dyadic_indices, builtin_spec
 
 from conftest import forbid_selector_builds
 
@@ -243,6 +243,22 @@ class TestCheckHolder:
         assert any(y[0] == 0 < x[0] for x, y in zip(points[::2], points[1::2]))
         check_holder(HolderFunctionSpec(at_bound, 1, F(1, 2), 1, 1), pairs=2000, name="probe")
 
+    # Messages the randrange(257) sampler gave: the shared draw names the
+    # same first violating pair of the built-in targets with K too small.
+    @pytest.mark.parametrize("name, d, K, message", [
+        ("mean", 2, F(1, 2), "x=['141/256', '195/256'], y=['17/32', '59/256']"),
+        ("maxcoord", 3, F(1, 10),
+         "x=['33/64', '55/128', '165/256'], y=['43/64', '231/256', '121/128']"),
+        ("root", 1, F(1, 2), "x=['15/128'], y=['3/4']"),
+        ("root", 2, F(9, 10), "x=['1/128', '1/128'], y=['203/256', '147/256']"),
+    ])
+    def test_wrong_constants_name_the_pinned_pair(self, name, d, K, message):
+        spec = builtin_spec(name, d)
+        spec = HolderFunctionSpec(spec.evaluator, d, spec.beta, K, spec.F)
+        with pytest.raises(DomainError) as err:
+            check_holder(spec, name=name)
+        assert str(err.value) == f"target {name!r} violates its claimed constants at {message}"
+
     def test_one_pair_is_accepted(self):
         check_holder(builtin_target("mean", 2), pairs=1)
 
@@ -252,6 +268,17 @@ class TestCheckHolder:
         spec = HolderFunctionSpec(lambda x: 10 * x[0], 1, 1, 1, 1)
         with pytest.raises(DomainError, match="at least 1 pair"):
             check_holder(spec, pairs=pairs)
+
+
+class TestDyadicDraws:
+    """check_holder and equivalence_check draw the numerators of i/256
+    through one helper, which gives randrange(257)'s stream."""
+
+    def test_helper_draws_as_randrange(self):
+        for seed in [*range(500), *(f"holder:seed:{i}" for i in range(500))]:
+            want, got = random.Random(seed), random.Random(seed)
+            assert _dyadic_indices(got, 30) == [want.randrange(257) for _ in range(30)], seed
+            assert got.getstate() == want.getstate(), seed
 
 
 class TestIntegerScanWork:

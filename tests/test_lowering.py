@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlower import (
+    CapacityError,
     DomainError,
     Network,
     TheoremBoundParams,
@@ -233,6 +234,46 @@ class TestBinarize:
         lowered, _ = binarize(middle)
         for x in GRID_1D:
             assert evaluate(lowered, [x]) == evaluate(example_net, [x])
+
+
+class TestCachedPrefixes:
+    """Each prefix is built once per d, within QLOWER_CAP."""
+
+    @pytest.mark.parametrize("lower", [ternarize, binarize])
+    def test_lowerings_at_one_d_share_their_prefix_matrices(self, lower):
+        alphabet = WeightSet.BASE_A if lower is ternarize else WeightSet.TERNARY_HALF
+        first, second = (lower(random_network(random.Random(seed), 2, 2, 4, alphabet))[0]
+                         for seed in (1, 2))
+        depth = 2 if lower is ternarize else 3
+        assert all(a is b for a, b in zip(first.matrices[:depth], second.matrices[:depth]))
+
+    @pytest.mark.parametrize("prefix, size", [
+        (ternary_prefix, lambda n: 20 * n * n),
+        (binary_prefix, lambda n: 8 * n * n + 10 * n * (4 * n + 4)),
+    ])
+    def test_entry_count_and_cap(self, monkeypatch, prefix, size):
+        for d in (1, 2, 3, 7):
+            assert sum(m.rows * m.cols for m in prefix(d).matrices) == size(d + 1)
+        prefix.cache_clear()
+        monkeypatch.setenv("QLOWER_CAP", str(size(4)))
+        assert prefix(3) is prefix(3)
+        with pytest.raises(CapacityError, match=f"needs {size(5)} entries"):
+            prefix(4)
+        with pytest.raises(CapacityError, match="needs at least 2\\^"):
+            prefix(10**5000)
+        assert prefix.cache_info().currsize == 1  # nothing refused is held
+        prefix.cache_clear()
+
+    def test_refused_before_anything_is_built(self, monkeypatch):
+        monkeypatch.setenv("QLOWER_CAP", "10")
+
+        def no_build(rows):
+            raise AssertionError("a prefix matrix was built")
+
+        monkeypatch.setattr(qlower.lowering.WeightMatrix, "from_rows", no_build)
+        for prefix in (ternary_prefix, binary_prefix):
+            with pytest.raises(CapacityError):
+                prefix(50)
 
 
 class TestDistinctObjectLowering:

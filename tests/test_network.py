@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -682,19 +683,50 @@ class TestMalformedBytes:
 
     def test_file_text_is_dropped_before_the_payload_is_read(
             self, tmp_path, monkeypatch, example_net):
-        # The decoded text is as large as the file; the payload's reader
-        # runs without it.
+        # The file's bytes and its decoded text are each as large as the
+        # file; the payload's reader runs with neither alive in any frame.
+        # Python 3.10 keeps a call's arguments on the caller's stack, out
+        # of f_locals, so the test tracks the objects' deaths instead.
         path = tmp_path / "net.json"
         save_network(example_net, path)
-        real, callers = qlower.network.network_from_dict, []
+        dead = set()
+
+        class Text(str):
+            def __del__(self):
+                dead.add("text")
+
+        class Data(bytes):
+            def decode(self, *args):
+                return Text(bytes.decode(self, *args))
+
+            def __del__(self):
+                dead.add("bytes")
+
+        class File:
+            def __init__(self, name, mode):
+                self.fh = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def read(self):
+                return Data(self.fh.read())
+
+        real, seen = qlower.network.network_from_dict, []
 
         def spy(payload):
-            callers.append(set(sys._getframe(1).f_locals))
+            seen.append((set(dead), set(sys._getframe(1).f_locals)))
             return real(payload)
 
+        monkeypatch.setattr(qlower.network, "open", File, raising=False)
         monkeypatch.setattr(qlower.network, "network_from_dict", spy)
         assert load_network(path) == example_net
-        assert callers == [{"payload"}]
+        assert seen[0][0] == {"bytes", "text"}
+        assert deserialize(Data(path.read_bytes())) == example_net
+        assert seen[1][1] == {"payload"}  # deserialize drops its argument
 
 
 class TestDistinctObjectWork:
@@ -762,6 +794,119 @@ def shared_entry_nets(draw):
         entries = tuple(SHARED[v] if s else Fraction(v) for v, s in zip(values, shared))
         matrices.append(WeightMatrix(rows, cols, entries))
     return Network(widths[0] - 1, tuple(matrices), ActivationKind.RELU)
+
+
+@st.composite
+def repeated_row_nets(draw):
+    """Nets whose rows often repeat the row before them: as the same
+    objects, as equal copies, or as the same objects but for one entry,
+    an equal copy or another value."""
+    widths = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    widths[0] = max(widths[0], 2)
+    values = st.sampled_from(ENTRY_VALUES)
+    matrices = []
+    for cols, rows in zip(widths, widths[1:]):
+        out = [tuple(SHARED[v] for v in draw(st.lists(values, min_size=cols, max_size=cols)))]
+        for _ in range(rows - 1):
+            how = draw(st.sampled_from(["new", "same", "copy", "one"]))
+            row = list(out[-1])
+            if how == "new":
+                row = [SHARED[draw(values)] for _ in range(cols)]
+            elif how == "copy":
+                row = [Fraction(e) for e in row]
+            elif how == "one":
+                row[draw(st.integers(0, cols - 1))] = Fraction(draw(values))
+            out.append(tuple(row))
+        matrices.append(WeightMatrix(rows, cols, sum(out, ())))
+    return Network(widths[0] - 1, tuple(matrices), ActivationKind.RELU)
+
+
+class TestRepeatedRows:
+    """A row whose entries are the previous row's objects reuses its key;
+    a row equal to it by value but not by identity is keyed as before."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(repeated_row_nets())
+    def test_plans_as_the_reference(self, net):
+        expanded = [(layer.scale, expanded_rows(layer), layer.gather) for layer in net._plan]
+        assert expanded == reference_plan(net)
+
+    def test_equal_copies_still_merge(self):
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        shared = (half, -half, quarter)
+        rows = [shared, shared, tuple(map(Fraction, shared)), (half, -half, Fraction(1, 4)),
+                (half, -half, -quarter), (half, -half, -quarter)]
+        net = Network(2, (WeightMatrix(6, 3, sum(rows, ())),), ActivationKind.RELU)
+        assert net._plan[0].gather == (0, 0, 0, 0, 1, 1)
+        assert [(net._plan[0].scale, expanded_rows(net._plan[0]), net._plan[0].gather)] \
+            == reference_plan(net)
+
+    @pytest.fixture
+    def counted_eq(self, monkeypatch):
+        calls = []
+        real = Fraction.__eq__
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, "__eq__", counting)
+        return calls
+
+    def test_lowered_net_plans_without_fraction_eq(self, counted_eq):
+        source = random_network(random.Random(21), 3, 3, 8)
+        binr, _ = binarize(ternarize(source)[0])
+        nets = [Network(3, n.matrices, n.activation) for n in (source, ternarize(source)[0], binr)]
+        counted_eq.clear()
+        for net in nets:
+            net._plan
+        assert counted_eq == []
+
+    def test_parsed_approximator_plans_without_fraction_eq(self, counted_eq, approximator_net):
+        parsed = deserialize(serialize(approximator_net))
+        counted_eq.clear()
+        parsed._plan
+        assert counted_eq == []
+
+
+class TestCachedObjects:
+    """A matrix finds its distinct entry objects once; a pickle drops them."""
+
+    def test_pickled_matrices_work_as_the_originals(self):
+        source = random_network(random.Random(8), 2, 3, 6)
+        net, _ = binarize(ternarize(source)[0])
+        net = Network(2, net.matrices[:-1] + (net.matrices[-1].scaled_by(3),), net.activation)
+        reports = [validate(net, ws) for ws in WeightSet]
+        data, plan = serialize(net), net._plan
+        assert all("_objects" in vars(m) for m in net.matrices)
+        copies = pickle.loads(pickle.dumps(net.matrices))
+        assert copies == net.matrices
+        assert not any("_objects" in vars(m) for m in copies)
+        rebuilt = Network(2, copies, net.activation)
+        assert [validate(rebuilt, ws) for ws in WeightSet] == reports
+        assert serialize(rebuilt) == data
+        assert rebuilt._plan == plan
+        for m in copies:
+            assert list(m._objects) == list(dict.fromkeys(map(id, m.entries)))
+
+    def test_each_matrix_walks_its_entries_once(self, monkeypatch):
+        source = random_network(random.Random(9), 2, 2, 6)
+        calls = []
+        real = qlower.network.by_id
+
+        def counting(values):
+            calls.append(len(values))
+            return real(values)
+
+        monkeypatch.setattr(qlower.network, "by_id", counting)
+        qlower.ternary_prefix.cache_clear()
+        qlower.binary_prefix.cache_clear()
+        tern, _ = ternarize(source)
+        binr, _ = binarize(tern)
+        evaluate(binr, [Fraction(1, 3), Fraction(1, 5)])
+        serialize(binr)
+        matrices = {id(m): m for n in (source, tern, binr) for m in n.matrices}
+        assert sorted(calls) == sorted(len(m.entries) for m in matrices.values())
 
 
 def plain_offender(net, weight_set):
