@@ -272,6 +272,7 @@ class TestCachedPrefixes:
 
         monkeypatch.setattr(qlower.lowering.WeightMatrix, "from_rows", no_build)
         for prefix in (ternary_prefix, binary_prefix):
+            prefix.cache_clear()  # a cached gadget is handed out unchecked
             with pytest.raises(CapacityError):
                 prefix(50)
 
