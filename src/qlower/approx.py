@@ -76,10 +76,6 @@ class GridSpec:
     def cell_count(self) -> int:
         return (self.M + 1) ** self.d
 
-    @property
-    def spacing(self) -> Fraction:
-        return Fraction(1, self.M + 1)
-
     @cached_property
     def place_values(self) -> tuple[int, ...]:
         """(M+1)^(i-1) for each axis i, so that k = sum_i m_i (M+1)^(i-1)."""
@@ -100,16 +96,6 @@ class GridSpec:
             k, m = divmod(k, base)
             out.append(m)
         return tuple(out)
-
-    def cell_index_of(self, coords: Sequence[int]) -> int:
-        if len(coords) != self.d:
-            raise DomainError(f"{len(coords)} cell digits given, grid expects {self.d}")
-        k = 0
-        for m, place in zip(coords, self.place_values):
-            if not 0 <= m <= self.M:
-                raise DomainError(f"cell digit {describe_number(m)} out of range [0, {self.M}]")
-            k += m * place
-        return k
 
     def representative(self, k: int) -> tuple[Fraction, ...]:
         """Smallest corner of cell k, coordinates m_i/(M+1)."""
@@ -254,8 +240,14 @@ def check_cap(what: str, unit: str, remedy: str, base: int, exp: int = 1) -> Non
     size is refused as "at least 2^n" without computing base**exp, which
     takes seconds for a hostile exponent (3^(10^7) cells). A computed
     size too long to print is reported by its bit length the same way.
+    A count that is not an int (nan, an infinity, a Fraction) raises
+    DomainError.
     """
+    if not isinstance(base, int):
+        raise DomainError(f"{what} needs {describe_number(base)} {unit}, not a whole count")
     cap = selector_cap()
+    if exp * base.bit_length() < cap.bit_length():
+        return  # base**exp < 2^(exp*bits) <= cap, decided without 10**limit
     limit = sys.get_int_max_str_digits()
     n = exp * (base.bit_length() - 1)
     if limit and n >= (10**limit).bit_length():
@@ -360,7 +352,8 @@ def bundle_stats(bundle: ApproximatorBundle) -> dict:
 class HolderFunctionSpec:
     """A target on [0,1]^d with claimed Hoelder data |f(x)-f(y)| <= K|x-y|^beta.
 
-    The claim is trusted here; the harness spot-verifies it by sampling.
+    The claim is trusted here. ``check_holder`` spot-checks a claim by
+    sampling; the built-in targets' claims are decided by the test suite.
     ``beta``, ``K`` and ``F`` accept any RationalLike and are stored as
     exact Fractions. Certificates record them as binary64, so a value
     that rounds to 0 or infinity raises DomainError.

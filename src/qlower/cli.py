@@ -23,7 +23,6 @@ from .approx import (
 )
 from .errors import DomainError, QlowerError
 from .harness import (
-    builtin_spec,
     builtin_target,
     check_holder,
     equivalence_check,
@@ -95,7 +94,7 @@ def _mode(args) -> str:
 
 
 def cmd_approx(args):
-    spec = builtin_spec(args.target, args.d)
+    spec = builtin_target(args.target, args.d)
     overridden = args.beta is not None or args.K is not None or args.F is not None
     if overridden:
         spec = HolderFunctionSpec(
@@ -106,13 +105,11 @@ def cmd_approx(args):
             args.F if args.F is not None else spec.F,
         )
     # Build from the claimed constants first: an over-cap grid raises
-    # CapacityError here, before the Hoelder spot-check, which takes
-    # seconds in high d.
+    # CapacityError here, before the spot-check of user-supplied
+    # constants, which takes seconds in high d.
     bundle = build_approximator(spec, args.eps, M_override=args.M)
     if overridden:
         check_holder(spec, name=args.target)
-    else:
-        builtin_target(args.target, args.d)
     materialized = bundle.network is not None
     if materialized:
         save_network(bundle.network, args.out)

@@ -1,4 +1,4 @@
-"""Measurement harness: verified built-in targets, sup-error reports,
+"""Measurement harness: built-in targets, sup-error reports,
 network equivalence checks, seeded random networks, and CSV summaries.
 
 All sampling is seeded, and every seed is either an int or a string, so
@@ -144,28 +144,18 @@ _BUILTIN = {
     "root": (_root, Fraction(1, 2), 1, 1),
 }
 
-_target_cache: dict[tuple[str, int], HolderFunctionSpec] = {}
-
 
 def builtin_target(name: str, d: int) -> HolderFunctionSpec:
-    """Named target on [0,1]^d with verified constants (sup metric).
+    """Named target on [0,1]^d with its claimed constants (sup metric).
 
     const     x -> 1/2
     mean      x -> (x_1 + ... + x_d) / d          (beta=1, K=1)
     maxcoord  x -> max_i x_i                      (beta=1, K=1)
     root      x -> sqrt(max_i x_i)                (beta=1/2, K=1)
 
-    The claim is spot-checked on first use per (name, d), then cached.
+    The constants are program constants, decided once by the test suite,
+    not spot-checked at run time; each call builds a new spec.
     """
-    if (name, d) not in _target_cache:
-        spec = builtin_spec(name, d)
-        check_holder(spec, name=name)
-        _target_cache[name, d] = spec
-    return _target_cache[name, d]
-
-
-def builtin_spec(name: str, d: int) -> HolderFunctionSpec:
-    """The named target with its claimed constants, not spot-checked."""
     if name not in _BUILTIN:
         raise DomainError(
             f"unknown target {name!r}; available: {', '.join(sorted(_BUILTIN))}")
@@ -360,12 +350,20 @@ def random_network(
 
     Each entry is zero with probability 1 - density and otherwise
     uniform over the nonzero alphabet values. Depth 0 yields a single
-    affine matrix.
+    affine matrix. Before anything is drawn, a size that is not an int
+    (or is a bool) raises DomainError, and a net that could hold more
+    entries than QLOWER_CAP, (depth+1)*max(input_dim+1, max_width)^2,
+    raises CapacityError.
     """
     if alphabet.members() is None:
         raise DomainError("random_network needs a finite alphabet")
+    for name, size in zip(("input_dim", "depth", "max_width"), (input_dim, depth, max_width)):
+        if type(size) is not int:
+            raise DomainError(f"{name} must be an int, got {describe_number(size)}")
     if depth < 0 or input_dim < 1 or max_width < 1:
         raise DomainError("depth >= 0 and positive dims/widths required")
+    check_cap("random network", "entries", "draw a smaller network",
+              (depth + 1) * max(input_dim + 1, max_width) ** 2)
     nonzero = sorted(v for v in alphabet.members() if v != 0)
     widths = [rng.randint(1, max_width) for _ in range(depth)]
     dims = [input_dim + 1] + widths + [1]
@@ -390,20 +388,18 @@ def report_rows(
     target_names: Optional[Sequence[str]] = None,
     n_per_axis: int = 101,
 ) -> list[dict]:
-    """One row per (target, dimension, epsilon): build the approximator,
-    measure its sup error, and record size and certificate columns.
-
-    Each grid is built before its target is spot-checked, so an over-cap
-    grid raises CapacityError without the spot-check's seconds in high d.
+    """One row per (target, dimension, epsilon): build the approximator
+    of the built-in target, measure its sup error, and record size and
+    certificate columns. An over-cap grid raises CapacityError before the
+    target is evaluated anywhere.
     """
     rows = []
     names = list(target_names) if target_names else sorted(_BUILTIN)
     for d in dims:
         for name in names:
-            spec = builtin_spec(name, d)
+            spec = builtin_target(name, d)
             for eps in epsilons:
                 bundle = build_approximator(spec, eps)
-                builtin_target(name, d)  # spot-checked once per (name, d)
                 report = sup_error(
                     bundle, spec, n_per_axis=n_per_axis, bound=bundle.error_bound)
                 stats = bundle_stats(bundle)

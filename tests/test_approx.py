@@ -43,7 +43,6 @@ from qlower import (
     validate,
 )
 from qlower.approx import NOTE_CERTIFIED, NOTE_USER_M, selector_cap
-from qlower.harness import builtin_spec
 from qlower.network import plan_layer
 
 from conftest import forbid_selector_builds
@@ -106,15 +105,13 @@ class TestChooseResolution:
 
 
 class TestGridSpec:
-    def test_counts_and_spacing(self):
-        grid = GridSpec(2, 4)
-        assert grid.cell_count == 25
-        assert grid.spacing == F(1, 5)
+    def test_cell_count(self):
+        assert GridSpec(2, 4).cell_count == 25
 
     def test_coords_round_trip(self):
         grid = GridSpec(3, 2)
         for k in range(grid.cell_count):
-            assert grid.cell_index_of(grid.cell_coords(k)) == k
+            assert sum(m * place for m, place in zip(grid.cell_coords(k), grid.place_values)) == k
 
     def test_representative_is_smallest_corner(self):
         grid = GridSpec(2, 2)
@@ -122,11 +119,6 @@ class TestGridSpec:
 
     def test_place_values_are_powers_of_the_base(self):
         assert GridSpec(3, 4).place_values == (1, 5, 25)
-
-    @pytest.mark.parametrize("coords", [(1,), (1, 0, 0)])
-    def test_digits_of_another_length_rejected(self, coords):
-        with pytest.raises(DomainError, match="grid expects 2"):
-            GridSpec(2, 2).cell_index_of(coords)
 
     @given(st.integers(min_value=1, max_value=40),
            st.fractions(min_value=0, max_value=1))
@@ -239,7 +231,7 @@ class TestBuilders:
 
     def test_readout_shares_one_fraction_per_float_value(self):
         grid = GridSpec(2, 100)
-        readout = build_readout(builtin_spec("root", 2), grid)
+        readout = build_readout(builtin_target("root", 2), grid)
         assert readout == tuple(as_rational(math.sqrt(max(map(float, grid.representative(k)))))
                                 for k in range(grid.cell_count))
         assert len({id(v) for v in readout}) == 101
@@ -367,7 +359,7 @@ class TestOneHot:
 
     def test_piecewise_constant_within_a_cell(self):
         bundle = build_approximator(linear_spec(), F(1, 4))
-        h = bundle.grid.spacing
+        h = F(1, bundle.grid.M + 1)
         for k in range(bundle.grid.cell_count):
             base = bundle.grid.representative(k)[0]
             inside = [base, base + h / 3, base + h - F(1, 10**6)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import qlower.approx
-import qlower.harness
+import qlower.cli
 from qlower import (
     ActivationKind, Network, WeightMatrix, evaluate, load_network, random_network,
     round_binary64, save_network)
@@ -147,22 +147,23 @@ class TestApprox:
             "--out", tmp_path / "mean.json")
         assert code == 0 and payload["M"] == 26  # 10^(1/beta) = 25.95...
 
-    def test_checks_only_the_requested_target(self, capsys, tmp_path, monkeypatch):
-        checked = []
-        original = qlower.harness.check_holder
-        monkeypatch.setattr(qlower.harness, "_target_cache", {})
-        monkeypatch.setattr(qlower.harness, "check_holder",
-                            lambda spec, name: (checked.append(name), original(spec, name=name)))
-        code, _, _ = run(capsys, "approx", "--target", "root", "--d", 1,
+    @pytest.mark.parametrize("override, checked", [((), []), (("--K", "1"), ["root"])],
+                             ids=["builtin", "override"])
+    def test_checks_only_overridden_constants(self, capsys, tmp_path, monkeypatch,
+                                              override, checked):
+        seen = []
+        original = qlower.cli.check_holder
+        monkeypatch.setattr(qlower.cli, "check_holder",
+                            lambda spec, name: (seen.append(name), original(spec, name=name)))
+        code, _, _ = run(capsys, "approx", "--target", "root", "--d", 1, *override,
                          "--eps", "1/2", "--out", tmp_path / "root.json")
-        assert code == 0 and checked == ["root"]
+        assert code == 0 and seen == checked
 
     def test_over_cap_grid_fails_before_holder_check(self, capsys, tmp_path, monkeypatch):
         checked = []
-        monkeypatch.setattr(qlower.harness, "_target_cache", {})
-        monkeypatch.setattr(qlower.harness, "check_holder",
+        monkeypatch.setattr(qlower.cli, "check_holder",
                             lambda spec, name: checked.append(name))
-        code, _, err = run(capsys, "approx", "--target", "mean", "--d", 10,
+        code, _, err = run(capsys, "approx", "--target", "mean", "--d", 10, "--K", "1",
                            "--eps", "1/100", "--out", tmp_path / "mean.json")
         error = json.loads(err)
         assert code == 1 and error["error"] == "CapacityError"

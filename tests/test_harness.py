@@ -27,6 +27,7 @@ from qlower import (
     build_approximator,
     build_readout,
     build_selector_matrix,
+    binary_prefix,
     builtin_target,
     builtin_targets,
     cell_index,
@@ -40,6 +41,7 @@ from qlower import (
     sparsity,
     sup_error,
     ternarize,
+    ternary_prefix,
     to_unit_weights,
     binarize,
     validate,
@@ -48,7 +50,7 @@ from qlower import (
 from qlower.approx import GridSpec, bundle_stats
 from qlower.lowering import TheoremBoundParams, theorem_bounds
 from qlower.rationals import format_rational
-from qlower.harness import CSV_COLUMNS, _dyadic_indices, builtin_spec
+from qlower.harness import CSV_COLUMNS, _dyadic_indices
 
 from conftest import forbid_selector_builds
 
@@ -137,13 +139,52 @@ class TestBuiltinTargets:
         with pytest.raises(DomainError):
             builtin_targets(0)
 
-    def test_registry_is_memoized(self):
-        assert builtin_targets(1)["mean"] is builtin_targets(1)["mean"]
-        assert builtin_target("mean", 1) is builtin_targets(1)["mean"]
+    def test_registry_matches_builtin_target(self):
+        assert builtin_target("mean", 1) == builtin_targets(1)["mean"]
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(DomainError, match="available: const, maxcoord, mean, root"):
             builtin_target("nope", 1)
+
+
+class TestBuiltinClaims:
+    """The built-in targets' claimed (beta, K) are program constants, so
+    they are decided here, once, and not at run time."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["const", "mean", "maxcoord"])
+    def test_exact_targets_pass_the_seeded_check(self, name, d):
+        """const, mean and maxcoord return exact values and are
+        1-Lipschitz in the sup norm for every d: const is constant,
+        |mean x - mean y| <= mean |x_i - y_i| <= max |x_i - y_i|, and
+        |max x - max y| <= max |x_i - y_i|. So each seeded pair is decided
+        in integers, and none can fail."""
+        spec = builtin_target(name, d)
+        assert (spec.beta, spec.K) == (1, 1)
+        check_holder(spec, name=name)
+
+    def test_root_passes_the_binary64_rule_on_every_pair(self, monkeypatch):
+        """check_holder's binary64 rule holds for root on all 257^2 pairs
+        (a/256, b/256) at d=1. That covers the dyadic pairs of every d:
+        root reads only the largest coordinate, its values at x and y are
+        its d=1 values at max x and max y, and |max x - max y| <=
+        max |x_i - y_i|, so the pair's gap is no smaller than theirs."""
+        drawn = iter(itertools.product(range(257), repeat=2))
+        monkeypatch.setattr(qlower.harness, "_dyadic_indices", lambda rng, n: list(next(drawn)))
+        check_holder(builtin_target("root", 1), pairs=257**2, name="root")
+        assert next(drawn, None) is None
+
+    def test_root_exact_violations_are_pinned(self):
+        """Decided exactly, |f(x) - f(y)|^2 * 256 <= gap fails on 122 of
+        the 257*256/2 unordered pairs at d=1; root's binary64 square root
+        is not exactly (1/2, 1)-Hoelder. (1/128, 0) comes first: there
+        sqrt(2)/16 rounds up."""
+        root = builtin_target("root", 1).evaluator
+        values = [F(root([F(i, 256)])) for i in range(257)]
+        violating = [(a, b) for a in range(257) for b in range(a)
+                     if (values[a] - values[b]) ** 2 * 256 > a - b]
+        assert len(violating) == 122
+        assert violating[0] == (2, 0)
 
 
 class TestCheckHolder:
@@ -253,8 +294,7 @@ class TestCheckHolder:
         ("root", 2, F(9, 10), "x=['1/128', '1/128'], y=['203/256', '147/256']"),
     ])
     def test_wrong_constants_name_the_pinned_pair(self, name, d, K, message):
-        spec = builtin_spec(name, d)
-        spec = HolderFunctionSpec(spec.evaluator, d, spec.beta, K, spec.F)
+        spec = dataclasses.replace(builtin_target(name, d), K=K)
         with pytest.raises(DomainError) as err:
             check_holder(spec, name=name)
         assert str(err.value) == f"target {name!r} violates its claimed constants at {message}"
@@ -371,7 +411,7 @@ class TestSupError:
     def test_changed_readout_entry_reported_at_its_representative(self):
         grid = GridSpec(2, 3)
         readout = [F(asymmetric(grid.representative(k))) for k in range(grid.cell_count)]
-        k = grid.cell_index_of((2, 1))
+        k = cell_index((F(2, 4), F(1, 4)), grid)
         readout[k] += 100
         bundle = ApproximatorBundle(grid, None, tuple(readout), None, "hand-built")
         # no scanned point of 4 per axis is a corner of cell (2, 1), so only
@@ -579,6 +619,14 @@ def never_called(x):
     raise AssertionError("a pair was drawn")
 
 
+class _NeverDrawn:
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used")
+
+
+never_drawn = _NeverDrawn()
+
+
 COUNTED_CALLS = {
     "check_holder": lambda n: check_holder(HolderFunctionSpec(never_called, 1, 1, 1, 1), pairs=n),
     "equivalence_check": lambda n: equivalence_check(IDENTITY, IDENTITY, n_samples=n),
@@ -608,6 +656,37 @@ class TestHostileCounts:
             assert equivalence_check(IDENTITY, IDENTITY, n_samples=40).equivalent
         else:
             check_holder(builtin_target("mean", 1), pairs=40)
+
+
+# Each count, or the size it gives check_cap, is not an int.
+NON_INT_COUNT_CALLS = {
+    "sup_error-n_per_axis": lambda n: sup_error(
+        build_approximator(builtin_target("mean", 1), F(1, 2)), builtin_target("mean", 1),
+        n_per_axis=n),
+    "equivalence_check-n_samples": lambda n: equivalence_check(IDENTITY, IDENTITY, n_samples=n),
+    "check_holder-pairs": COUNTED_CALLS["check_holder"],
+    "build_approximator-M_override": lambda n: build_approximator(
+        HolderFunctionSpec(never_called, 1, 1, 1, 1), F(1, 2), M_override=n),
+    "report_rows-n_per_axis": lambda n: report_rows([1], ["1/2"], ["mean"], n_per_axis=n),
+    "ternary_prefix-d": ternary_prefix,
+    "binary_prefix-d": binary_prefix,
+}
+
+
+class TestNonIntCounts:
+    """A count that is not an int is refused with a DomainError that
+    prints it, at once, never with an AttributeError from the cap check."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, F(HUGE + 1, 3)],
+                             ids=["nan", "inf", "-inf", "huge-fraction"])
+    @pytest.mark.parametrize("name", NON_INT_COUNT_CALLS)
+    def test_refused_as_a_domain_error(self, name, value):
+        start = time.process_time()
+        with pytest.raises(DomainError) as err:
+            NON_INT_COUNT_CALLS[name](value)
+        assert time.process_time() - start < 1.0
+        if isinstance(value, Fraction):
+            assert "-bit integer>" in str(err.value)  # printed by its bit length
 
 
 class TestReportFields:
@@ -867,6 +946,26 @@ class TestRandomNetwork:
             random_network(random.Random(11), 1, 1, 2,
                            alphabet=WeightSet.UNRESTRICTED)
 
+    @pytest.mark.parametrize("value, error", [
+        (HUGE, CapacityError), (2.0, DomainError), (F(2), DomainError),
+        (True, DomainError), (None, DomainError), ("2", DomainError),
+    ], ids=["1e5000", "float", "fraction", "bool", "none", "str"])
+    @pytest.mark.parametrize("size", ["input_dim", "depth", "max_width"])
+    def test_hostile_size_fails_before_any_draw(self, size, value, error):
+        sizes = {"input_dim": 2, "depth": 2, "max_width": 3, size: value}
+        start = time.process_time()
+        with pytest.raises(error):
+            random_network(never_drawn, **sizes)
+        assert time.process_time() - start < 1.0
+
+    def test_largest_entry_count_is_capped(self, monkeypatch):
+        # (depth+1) * max(input_dim+1, max_width)^2 = 3 * 5^2
+        monkeypatch.setenv("QLOWER_CAP", "74")
+        with pytest.raises(CapacityError, match="needs 75 entries"):
+            random_network(never_drawn, 4, 2, 3)
+        monkeypatch.setenv("QLOWER_CAP", "75")
+        assert random_network(random.Random(12), 4, 2, 3).depth == 2
+
 
 class TestBundleStatsAndReport:
     def test_stats_match_materialized_counts(self):
@@ -912,13 +1011,14 @@ class TestBundleStatsAndReport:
         row = report_rows([1], ["1/5"], ["mean"], n_per_axis=11)[0]
         assert row["bound"] == repr(bundle.error_bound) == "0.16666666666666666"
 
-    def test_over_cap_grid_refused_before_the_spot_check(self, monkeypatch):
-        # 2^200 cells: the 10,000-pair Hoelder spot-check at d=200 would
-        # take seconds before the cap refused the grid
+    def test_over_cap_grid_refused_before_any_target_value(self, monkeypatch):
+        # 2^200 cells: refused from the constants, before a readout or
+        # Hoelder check reads the target
         def refuse(*args, **kwargs):
-            raise AssertionError("check_holder called")
+            raise AssertionError("target read")
 
         monkeypatch.setattr(qlower.harness, "check_holder", refuse)
+        monkeypatch.setattr(qlower.approx, "read_target", refuse)
         with pytest.raises(CapacityError):
             report_rows([200], ["1/2"], ["mean"])
 
