@@ -32,7 +32,8 @@ from typing import Callable, Iterator, Optional
 
 from .errors import CapacityError, DimensionError, DomainError
 from .network import ActivationKind, LayerPlan, Network, WeightMatrix, plan_layer
-from .rationals import RationalLike, as_rational, describe_number, format_rational, round_binary64
+from .rationals import (
+    RationalLike, as_rational, describe_number, format_rational, require_count, round_binary64)
 
 DEFAULT_SELECTOR_CAP = 10**8
 CAP_ENV_VAR = "QLOWER_CAP"
@@ -67,10 +68,8 @@ class GridSpec:
     M: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError(f"dimension must be >= 1, got {describe_number(self.d)}")
-        if self.M < 1:
-            raise DomainError(f"resolution must be >= 1, got {describe_number(self.M)}")
+        require_count("dimension", self.d)
+        require_count("resolution", self.M)
 
     @property
     def cell_count(self) -> int:
@@ -87,7 +86,8 @@ class GridSpec:
 
     def cell_coords(self, k: int) -> tuple[int, ...]:
         """Digits (m_1, ..., m_d) of cell k in base M+1, axis 1 first."""
-        if not 0 <= k < self.cell_count:
+        require_count("cell index", k, least=0)
+        if k >= self.cell_count:
             raise DomainError(
                 f"cell index {describe_number(k)} out of range [0, {describe_number(self.cell_count)})")
         base = self.M + 1
@@ -240,18 +240,14 @@ def check_cap(what: str, unit: str, remedy: str, base: int, exp: int = 1) -> Non
     size is refused as "at least 2^n" without computing base**exp, which
     takes seconds for a hostile exponent (3^(10^7) cells). A computed
     size too long to print is reported by its bit length the same way.
-    A count that is not an int (nan, an infinity, a Fraction) raises
-    DomainError.
     """
-    if not isinstance(base, int):
-        raise DomainError(f"{what} needs {describe_number(base)} {unit}, not a whole count")
     cap = selector_cap()
     if exp * base.bit_length() < cap.bit_length():
         return  # base**exp < 2^(exp*bits) <= cap, decided without 10**limit
     limit = sys.get_int_max_str_digits()
     n = exp * (base.bit_length() - 1)
     if limit and n >= (10**limit).bit_length():
-        size = f"at least 2^{n}"
+        size = f"at least 2^{describe_number(n)}"
     else:
         size = base**exp
         if size <= cap:
@@ -368,8 +364,7 @@ class HolderFunctionSpec:
     def __post_init__(self):
         for name in ("beta", "K", "F"):
             object.__setattr__(self, name, as_rational(getattr(self, name)))
-        if self.d < 1:
-            raise DomainError(f"dimension must be >= 1, got {describe_number(self.d)}")
+        require_count("dimension", self.d)
         if not 0 < self.beta <= 1:
             raise DomainError(f"beta must lie in (0, 1], got {describe_number(self.beta)}")
         if self.K <= 0 or self.F <= 0:

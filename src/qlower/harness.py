@@ -26,7 +26,8 @@ from .approx import (
 )
 from .errors import DimensionError, DomainError
 from .network import ActivationKind, Network, WeightMatrix, WeightSet, by_id, forward_integers
-from .rationals import RationalLike, as_rational, describe_number, format_rational, round_binary64
+from .rationals import (
+    RationalLike, as_rational, describe_number, format_rational, require_count, round_binary64)
 
 HOLDER_CHECK_PAIRS = 10_000
 
@@ -84,6 +85,13 @@ def _dyadic_indices(rng: random.Random, n: int) -> list[int]:
     return out
 
 
+def _require_seed(seed) -> None:
+    """Refuse a seed that is not an int or a str: random.Random seeds None
+    from OS entropy, so another process would draw other samples."""
+    if type(seed) not in (int, str):
+        raise DomainError(f"seed must be an int or a str, got {describe_number(seed)}")
+
+
 def check_holder(
     spec: HolderFunctionSpec,
     pairs: int = HOLDER_CHECK_PAIRS,
@@ -97,14 +105,14 @@ def check_holder(
     decided exactly in integers: with fx = a/b, fy = c/e and K = Kn/Kd,
     |fx-fy| > K*gap/256 is |a*e - c*b| * Kd * 256 > Kn * gap * b * e.
     Otherwise it is decided in binary64 with a tiny slack; a difference
-    beyond its range is inf. Raises DomainError on a violated pair, on
-    fewer than 1 pair, and on a seed too large for str() to print, and
-    CapacityError on more pairs than QLOWER_CAP, before any is drawn.
-    Sampling cannot prove the claim, only catch wrong constants.
+    beyond its range is inf. Raises DomainError on a violated pair, a pair
+    count not an int >= 1 or a seed not an int or a str (or too long for
+    str()), and CapacityError on more pairs than QLOWER_CAP, before any is
+    drawn. Sampling cannot prove the claim, only catch wrong constants.
     """
-    if pairs < 1:
-        raise DomainError(f"need at least 1 pair, got {describe_number(pairs)}")
+    require_count("pairs", pairs)
     check_cap("Hoelder spot check", "pairs", "check fewer pairs", pairs)
+    _require_seed(seed)
     try:
         seed_text = str(seed)
     except ValueError:  # an integer with more digits than str() allows
@@ -206,9 +214,7 @@ def sup_error(
     sup stayed within it. A scan of more points than QLOWER_CAP raises
     CapacityError before it starts.
     """
-    if n_per_axis < 2:
-        raise DomainError(
-            f"need at least 2 grid points per axis, got {describe_number(n_per_axis)}")
+    require_count("n_per_axis", n_per_axis, least=2)
     bundle = obj if isinstance(obj, ApproximatorBundle) else bundle_from_network(obj)
     grid, readout = bundle.grid, bundle.readout
     if isinstance(f, HolderFunctionSpec) and f.d != grid.d:
@@ -287,8 +293,9 @@ def equivalence_check(
     sample, in sample order, by cross-multiplied integers, as in
     ``sup_error``: no value is built for a sample. ``max_abs_diff`` is the
     largest exact difference rounded once to binary64 (inf beyond its
-    range), and ``first_divergence`` holds exact values as text. More
-    samples than QLOWER_CAP raise CapacityError before any is drawn.
+    range), and ``first_divergence`` holds exact values as text. Before any
+    sample is drawn, a seed not an int or a str raises DomainError, and
+    more samples than QLOWER_CAP raise CapacityError.
     Sampling cannot prove equivalence, only exhibit a divergence.
     """
     if a.input_dim != b.input_dim:
@@ -297,13 +304,13 @@ def equivalence_check(
     if a.output_dim != b.output_dim:
         raise DimensionError(
             f"output dims differ: {a.output_dim} vs {b.output_dim}")
-    if n_samples < 1:
-        raise DomainError(f"need at least 1 sample, got {describe_number(n_samples)}")
-    # An int or a Fraction is finite however large; only a float may not be.
-    if isinstance(tolerance, float) and not math.isfinite(tolerance) or tolerance < 0:
+    require_count("n_samples", n_samples)
+    # An int or a Fraction is below inf however large; nan is not >= 0.
+    if not isinstance(tolerance, (int, float, Fraction)) or not 0 <= tolerance < math.inf:
         raise DomainError(
             f"tolerance must be finite and non-negative, got {describe_number(tolerance)}")
     check_cap("equivalence check", "samples", "draw fewer samples", n_samples)
+    _require_seed(seed)
     tol_n, tol_d = Fraction(tolerance).as_integer_ratio()
     rng = random.Random(seed)
     # The largest difference so far is worst_n/worst_d. With outputs p/da
@@ -351,17 +358,15 @@ def random_network(
     Each entry is zero with probability 1 - density and otherwise
     uniform over the nonzero alphabet values. Depth 0 yields a single
     affine matrix. Before anything is drawn, a size that is not an int
-    (or is a bool) raises DomainError, and a net that could hold more
-    entries than QLOWER_CAP, (depth+1)*max(input_dim+1, max_width)^2,
+    >= 1 (>= 0 for depth) raises DomainError, and a net that could hold
+    more entries than QLOWER_CAP, (depth+1)*max(input_dim+1, max_width)^2,
     raises CapacityError.
     """
     if alphabet.members() is None:
         raise DomainError("random_network needs a finite alphabet")
-    for name, size in zip(("input_dim", "depth", "max_width"), (input_dim, depth, max_width)):
-        if type(size) is not int:
-            raise DomainError(f"{name} must be an int, got {describe_number(size)}")
-    if depth < 0 or input_dim < 1 or max_width < 1:
-        raise DomainError("depth >= 0 and positive dims/widths required")
+    require_count("input_dim", input_dim)
+    require_count("depth", depth, least=0)
+    require_count("max_width", max_width)
     check_cap("random network", "entries", "draw a smaller network",
               (depth + 1) * max(input_dim + 1, max_width) ** 2)
     nonzero = sorted(v for v in alphabet.members() if v != 0)

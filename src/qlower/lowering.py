@@ -39,7 +39,7 @@ from .network import (
     sparsity,
     validate,
 )
-from .rationals import describe_number
+from .rationals import describe_number, require_count
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -126,16 +126,8 @@ def decompose_binary(w: Fraction) -> tuple[Fraction, Fraction]:
     raise DomainError(f"{w} is not in the {{0, +-1/2}} alphabet")
 
 
-def _check_prefix(name: str, d: int, entries: int) -> None:
-    """Refuse a d below 1, or a prefix of more entries than QLOWER_CAP,
-    before it is built."""
-    if d < 1:
-        raise DomainError(f"input dimension must be >= 1, got {describe_number(d)}")
-    check_cap(f"{name} prefix", "entries", "lower a net of lower input dimension", entries)
-
-
 # The prefixes are immutable, so each is built once per d and shared by
-# every net lowered at that d; _check_prefix bounds each one cached.
+# every net lowered at that d; the cap bounds each one cached.
 @lru_cache(maxsize=16, typed=True)
 def ternary_prefix(d: int) -> Network:
     """Duplication gadget: (1, x) -> four copies of each coordinate.
@@ -146,8 +138,9 @@ def ternary_prefix(d: int) -> Network:
     the sum of its four half-copies. Exactly 20(d+1) nonzero weights
     among 20(d+1)^2 entries. One network per d, built on first use.
     """
-    _check_prefix("ternary", d, 20 * (d + 1) ** 2)
+    require_count("d", d)
     n = d + 1
+    check_cap("ternary prefix", "entries", "lower a net of lower input dimension", 20 * n**2)
     fan = [[HALF if c == src else ZERO for c in range(n)]
            for src in range(n) for _ in range(4)]
     gather = [
@@ -173,7 +166,10 @@ def binary_prefix(d: int) -> Network:
     With n = d + 1 that is 8n^2 + 10n(4n + 4) entries. One network per d,
     built on first use.
     """
-    _check_prefix("binary", d, 8 * (d + 1) ** 2 + 10 * (d + 1) * (4 * d + 8))
+    require_count("d", d)
+    n = d + 1
+    check_cap("binary prefix", "entries", "lower a net of lower input dimension",
+              8 * n**2 + 10 * n * (4 * n + 4))
 
     def pm(pattern: list[int]) -> list[Fraction]:
         return [QUARTER if s > 0 else -QUARTER for s in pattern]
@@ -408,17 +404,14 @@ def theorem_bounds(params: TheoremBoundParams) -> TheoremBoundReport:
 
 def _theorem_bounds(params: TheoremBoundParams) -> TheoremBoundReport:
     m, N, beta, d, K = params.m, params.N, params.beta, params.d, params.K
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"m must be an integer >= 1, got {describe_number(m)}")
-    if not isinstance(d, int) or d < 1:
-        raise DomainError(f"d must be an integer >= 1, got {describe_number(d)}")
-    if not beta > 0:  # nan too
-        raise DomainError(f"beta must be positive, got {describe_number(beta)}")
-    if not K > 0:
-        raise DomainError(f"K must be positive, got {describe_number(K)}")
+    require_count("m", m)
+    require_count("d", d)
+    for name, value in (("beta", beta), ("K", K)):
+        if not isinstance(value, (int, float, Fraction)) or not value > 0:  # nan too
+            raise DomainError(f"{name} must be positive, got {describe_number(value)}")
     beta, K = float(beta), float(K)
     n_floor = max((beta + 1) ** d, (K + 1) * math.e**d)
-    if not isinstance(N, int) or N < n_floor:
+    if type(N) is not int or N < n_floor:
         raise DomainError(
             f"N must be an integer >= max((beta+1)^d, (K+1)e^d) = {n_floor:.6g}, "
             f"got {describe_number(N)}"

@@ -58,7 +58,8 @@ from operator import is_, mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import DimensionError, ParseError
-from .rationals import RationalLike, as_rational, describe_number, format_rational, lcm_denominators
+from .rationals import (
+    RationalLike, as_rational, describe_number, format_rational, lcm_denominators, require_count)
 
 FORMAT_VERSION = 1
 
@@ -109,13 +110,12 @@ class WeightMatrix:
     entries: Sequence[Fraction]
 
     def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise DimensionError(f"matrix shape must be positive, got "
-                                 f"{describe_number(self.rows)}x{describe_number(self.cols)}")
+        require_count("rows", self.rows)
+        require_count("cols", self.cols)
         if len(self.entries) != self.rows * self.cols:
             raise DimensionError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(self.entries)}"
+                f"{describe_number(self.rows)}x{describe_number(self.cols)} matrix needs "
+                f"{describe_number(self.rows * self.cols)} entries, got {len(self.entries)}"
             )
 
     @classmethod
@@ -174,21 +174,20 @@ class Network:
     def __post_init__(self):
         object.__setattr__(self, "matrices", tuple(self.matrices))
         object.__setattr__(self, "output_scale", as_rational(self.output_scale))
-        if self.input_dim < 1:
-            raise DimensionError(f"input_dim must be positive, got {describe_number(self.input_dim)}")
+        require_count("input_dim", self.input_dim)
         if not self.matrices:
             raise DimensionError("network needs at least one matrix")
         if self.matrices[0].cols != self.input_dim + 1:
             raise DimensionError(
-                f"layer 0 has {self.matrices[0].cols} columns, expected input_dim+1 = "
-                f"{self.input_dim + 1}",
+                f"layer 0 has {describe_number(self.matrices[0].cols)} columns, expected "
+                f"input_dim+1 = {describe_number(self.input_dim + 1)}",
                 layer=0,
             )
         for i in range(len(self.matrices) - 1):
             if self.matrices[i + 1].cols != self.matrices[i].rows:
                 raise DimensionError(
-                    f"layer {i + 1} has {self.matrices[i + 1].cols} columns but layer "
-                    f"{i} emits {self.matrices[i].rows} units",
+                    f"layer {i + 1} has {describe_number(self.matrices[i + 1].cols)} columns "
+                    f"but layer {i} emits {describe_number(self.matrices[i].rows)} units",
                     layer=i + 1,
                 )
 

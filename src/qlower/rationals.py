@@ -3,9 +3,9 @@
 Every weight, threshold, and exact value in this package is a
 ``fractions.Fraction``; the stdlib type already guarantees lowest terms
 and a positive denominator. This module owns coercion, the canonical
-text representation (``"p"`` for integers, ``"p/q"`` otherwise), and the
+text representation (``"p"`` for integers, ``"p/q"`` otherwise), the
 one rounding to binary64, used wherever a value is printed or recorded
-as a float.
+as a float, and the one rule for every count, size and dimension.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 RationalLike = Union[int, str, float, Fraction]
 
@@ -79,6 +79,13 @@ def describe_number(value) -> str:
         if limit and abs(value) >= 10**limit:
             return f"{'-' if value < 0 else ''}<{abs(value).bit_length()}-bit integer>"
     return str(value)
+
+
+def require_count(name: str, value, least: int = 1) -> None:
+    """Refuse a count, size or dimension that is not an int >= least with
+    DomainError; a bool, float, Fraction or None is not an int here."""
+    if type(value) is not int or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {describe_number(value)}")
 
 
 def round_binary64(value: Fraction) -> float:

@@ -1,10 +1,15 @@
 import dataclasses
 import itertools
 import math
+import os
 import random
+import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -306,7 +311,7 @@ class TestCheckHolder:
     def test_fewer_than_one_pair_refused(self, pairs):
         # 10x violates K = 1 on almost every pair, yet no pairs would find none
         spec = HolderFunctionSpec(lambda x: 10 * x[0], 1, 1, 1, 1)
-        with pytest.raises(DomainError, match="at least 1 pair"):
+        with pytest.raises(DomainError, match=f"^pairs must be an integer >= 1, got {pairs}$"):
             check_holder(spec, pairs=pairs)
 
 
@@ -597,6 +602,12 @@ HUGE_ARGUMENTS = {
     "theorem_bounds-m": lambda: theorem_bounds(TheoremBoundParams(-HUGE, 20, 1.0, 1, 1.0)),
     "theorem_bounds-d": lambda: theorem_bounds(TheoremBoundParams(1, 20, 1.0, -HUGE, 1.0)),
     "theorem_bounds-N": lambda: theorem_bounds(TheoremBoundParams(1, -HUGE, 1.0, 1, 1.0)),
+    # sizes that pass the count rule and reach the check they break
+    "report_rows-dims": lambda: report_rows([HUGE], ["1/2"], ["mean"]),
+    "build_approximator-d": lambda: build_approximator(builtin_target("mean", HUGE), F(1, 2)),
+    "WeightMatrix-rows": lambda: WeightMatrix(HUGE, 1, (F(0),)),
+    "Network-columns": lambda: Network(HUGE, (WeightMatrix(1, 2, (F(0), F(1))),),
+                                       ActivationKind.RELU),
 }
 
 
@@ -610,9 +621,30 @@ class TestHostileNumbers:
         with pytest.raises(QlowerError, match="<16610-bit integer>"):
             call()
 
+    @pytest.mark.parametrize("name, error", [
+        ("report_rows-dims", CapacityError),
+        ("build_approximator-d", CapacityError),
+        ("WeightMatrix-rows", DimensionError),
+        ("Network-columns", DimensionError),
+    ])
+    def test_huge_sizes_reach_their_check(self, name, error):
+        with pytest.raises(error):
+            HUGE_ARGUMENTS[name]()
+
     def test_nan_beta_refused_by_theorem_bounds(self):
         with pytest.raises(DomainError, match="beta must be positive, got nan"):
             theorem_bounds(TheoremBoundParams(1, 20, math.nan, 1, 1.0))
+
+    @pytest.mark.parametrize("value", [None, "junk", [1]], ids=["None", "junk", "list"])
+    @pytest.mark.parametrize("call", [
+        lambda v: equivalence_check(IDENTITY, IDENTITY, tolerance=v),
+        lambda v: theorem_bounds(TheoremBoundParams(1, 20, v, 1, 1.0)),
+        lambda v: theorem_bounds(TheoremBoundParams(1, 20, 1.0, 1, v)),
+    ], ids=["equivalence_check-tolerance", "theorem_bounds-beta", "theorem_bounds-K"])
+    def test_non_numbers_refused(self, call, value):
+        with pytest.raises(DomainError, match=f"must be (finite and non-negative|positive), "
+                                              f"got {re.escape(str(value))}$"):
+            call(value)
 
 
 def never_called(x):
@@ -658,8 +690,13 @@ class TestHostileCounts:
             check_holder(builtin_target("mean", 1), pairs=40)
 
 
-# Each count, or the size it gives check_cap, is not an int.
+# Each count, size or dimension, given a value that is not an int.
 NON_INT_COUNT_CALLS = {
+    "GridSpec-d": lambda n: GridSpec(n, 3),
+    "GridSpec-M": lambda n: GridSpec(1, n),
+    "GridSpec.cell_coords-k": lambda n: GridSpec(1, 2).cell_coords(n),
+    "HolderFunctionSpec-d": lambda n: HolderFunctionSpec(never_called, n, 1, 1, 1),
+    "builtin_target-d": lambda n: builtin_target("mean", n),
     "sup_error-n_per_axis": lambda n: sup_error(
         build_approximator(builtin_target("mean", 1), F(1, 2)), builtin_target("mean", 1),
         n_per_axis=n),
@@ -667,26 +704,92 @@ NON_INT_COUNT_CALLS = {
     "check_holder-pairs": COUNTED_CALLS["check_holder"],
     "build_approximator-M_override": lambda n: build_approximator(
         HolderFunctionSpec(never_called, 1, 1, 1, 1), F(1, 2), M_override=n),
+    "report_rows-dims": lambda n: report_rows([n], ["1/2"], ["mean"]),
     "report_rows-n_per_axis": lambda n: report_rows([1], ["1/2"], ["mean"], n_per_axis=n),
+    "random_network-input_dim": lambda n: random_network(never_drawn, n, 1, 1),
+    "random_network-depth": lambda n: random_network(never_drawn, 1, n, 1),
+    "random_network-max_width": lambda n: random_network(never_drawn, 1, 1, n),
+    "theorem_bounds-m": lambda n: theorem_bounds(TheoremBoundParams(n, 20, 1.0, 1, 1.0)),
+    "theorem_bounds-N": lambda n: theorem_bounds(TheoremBoundParams(1, n, 1.0, 1, 1.0)),
+    "theorem_bounds-d": lambda n: theorem_bounds(TheoremBoundParams(1, 20, 1.0, n, 1.0)),
+    "WeightMatrix-rows": lambda n: WeightMatrix(n, 1, (F(0),)),
+    "WeightMatrix-cols": lambda n: WeightMatrix(1, n, (F(0),)),
+    "Network-input_dim": lambda n: Network(n, (WeightMatrix(1, 2, (F(0), F(1))),),
+                                           ActivationKind.RELU),
     "ternary_prefix-d": ternary_prefix,
     "binary_prefix-d": binary_prefix,
 }
 
+NON_INTS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "huge-fraction": F(HUGE + 1, 3),
+            "None": None, "junk": "junk", "True": True, "1.5": 1.5}
+
 
 class TestNonIntCounts:
-    """A count that is not an int is refused with a DomainError that
-    prints it, at once, never with an AttributeError from the cap check."""
+    """A count that is not an int, a bool included, is refused at once by
+    the one count rule, with a DomainError that prints it: never accepted,
+    and never a raw TypeError or AttributeError."""
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, F(HUGE + 1, 3)],
-                             ids=["nan", "inf", "-inf", "huge-fraction"])
-    @pytest.mark.parametrize("name", NON_INT_COUNT_CALLS)
+    @pytest.mark.parametrize("name, value", [
+        pytest.param(name, value, id=f"{name}-{key}")
+        for name in NON_INT_COUNT_CALLS for key, value in NON_INTS.items()
+        if not (name == "build_approximator-M_override" and value is None)  # its default
+    ])
     def test_refused_as_a_domain_error(self, name, value):
         start = time.process_time()
         with pytest.raises(DomainError) as err:
             NON_INT_COUNT_CALLS[name](value)
         assert time.process_time() - start < 1.0
+        assert " must be an integer >= " in str(err.value)
         if isinstance(value, Fraction):
             assert "-bit integer>" in str(err.value)  # printed by its bit length
+        else:
+            assert str(err.value).endswith(f", got {value}")
+
+
+SEEDED_CALLS = {
+    "equivalence_check": lambda seed: equivalence_check(IDENTITY, IDENTITY, n_samples=1, seed=seed),
+    "check_holder": lambda seed: check_holder(builtin_target("mean", 1), pairs=1, seed=seed),
+}
+
+# Prints what both seeded checks report for the seed in argv[1].
+SEEDED_REPORTS = """
+import dataclasses, random, sys
+from fractions import Fraction
+from qlower import DomainError, builtin_target, check_holder, equivalence_check, random_network
+seed = int(sys.argv[1]) if sys.argv[1].isdigit() else sys.argv[1]
+a, b = (random_network(random.Random(s), 2, 2, 4) for s in (1, 2))
+print(equivalence_check(a, b, n_samples=256, seed=seed))
+try:
+    check_holder(dataclasses.replace(builtin_target("mean", 2), K=Fraction(1, 2)), seed=seed)
+except DomainError as exc:
+    print(exc)
+"""
+
+
+class TestSeeds:
+    """Every seed is an int or a str, so a seeded check reports the same
+    in every process; any other seed is refused."""
+
+    @pytest.mark.parametrize("seed", [0, "run-7"])
+    def test_same_report_in_two_processes(self, seed):
+        src = str(Path(qlower.harness.__file__).resolve().parents[1])
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", SEEDED_REPORTS, str(seed)], check=True,
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            ).stdout
+            for hash_seed in ("1", "2")
+        }
+        assert len(outputs) == 1
+        report, violation = outputs.pop().splitlines()
+        assert "equivalent=False" in report and "violates" in violation
+
+    @pytest.mark.parametrize("seed", [None, 1.5, True, F(1, 2)], ids=["None", "1.5", "True", "1/2"])
+    @pytest.mark.parametrize("name", SEEDED_CALLS)
+    def test_other_seeds_refused(self, name, seed):
+        with pytest.raises(DomainError, match=f"^seed must be an int or a str, got {seed}$"):
+            SEEDED_CALLS[name](seed)
 
 
 class TestReportFields:
