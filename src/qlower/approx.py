@@ -111,8 +111,8 @@ class GridSpec:
             yield k, reversed_point[::-1]
 
 
-_EXACT_BITS = 1 << 16  # largest (K/eps)^r that choose_resolution expands
-_SEED_BITS = 50  # largest log2 resolution it seeds from a binary64 root
+_EXACT_BITS = 1 << 16  # largest integer power that the exact comparisons expand
+_SEED_BITS = 50  # largest log2 resolution choose_resolution seeds from a binary64 root
 
 
 def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike) -> int:
@@ -122,14 +122,12 @@ def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike
     M+1 >= this value, so M one smaller certifies too whenever that is
     still >= 1 (K=1, beta=1, eps=1/10 gives M=10, yet M=9 certifies).
     Exact for every rational beta = p/r: the result is the least N >= 1
-    with N^p >= (K/eps)^r. That is decided in integers while (K/eps)^r
-    has at most _EXACT_BITS bits; a larger denominator, such as the 2^52
-    of a binary64 beta, is decided from logarithms (see _reaches), and
-    then a resolution above 2^_SEED_BITS raises DomainError.
+    with N^p >= (K/eps)^r, found in integers while (K/eps)^r has at most
+    _EXACT_BITS bits. Else (the 2^52 denominator of a binary64 beta) it
+    steps from the binary64 root by holder_sign, and a resolution above
+    2^_SEED_BITS raises DomainError.
     """
-    K_ = as_rational(K)
-    beta_ = as_rational(beta)
-    eps_ = as_rational(epsilon)
+    K_, beta_, eps_ = map(as_rational, (K, beta, epsilon))
     if K_ <= 0 or eps_ <= 0:
         raise DomainError(f"K and epsilon must be positive, got K={describe_number(K)}, "
                           f"epsilon={describe_number(epsilon)}")
@@ -143,10 +141,9 @@ def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike
     if r * a.bit_length() <= _EXACT_BITS:
         # N^p is an integer, so N^p >= (K/eps)^r exactly when N^p >= ceil((K/eps)^r).
         return _ceil_root(-(-(a ** r) // b ** r), p)
-    # (K/eps)^r is too large to expand: seed from the binary64 root and
-    # decide the boundary from logarithms. N >= K/eps as beta <= 1, so
-    # capping q keeps float(q) finite and every q >= 2^(_SEED_BITS+1)
-    # still above the limit. A beta that rounds to 0.0 puts N beyond any limit.
+    # Seed from the binary64 root. N >= K/eps as beta <= 1, so capping q
+    # keeps float(q) finite and every q >= 2^(_SEED_BITS+1) above the limit.
+    # A beta that rounds to 0.0 puts N beyond any limit.
     beta_f = float(beta_)
     log2_n = math.log2(min(q, 2 << _SEED_BITS)) / beta_f if beta_f else math.inf
     if log2_n > _SEED_BITS:
@@ -155,9 +152,9 @@ def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike
             f"2^{_SEED_BITS} and (K/eps)^r has over {_EXACT_BITS} bits for "
             f"beta = p/r {f'= {beta_f}' if beta_f else 'below 2^-1074'}")
     n = math.ceil(2.0 ** log2_n)  # the binary64 root, off by at most a few
-    while not _reaches(n, q, beta_):
+    while holder_sign(eps_, K_, Fraction(1, n), beta_) < 0:
         n += 1
-    while n > 1 and _reaches(n - 1, q, beta_):
+    while n > 1 and holder_sign(eps_, K_, Fraction(1, n - 1), beta_) >= 0:
         n -= 1
     return n
 
@@ -175,19 +172,36 @@ def _ceil_root(c: int, p: int) -> int:
     return n if n ** p >= c else n + 1
 
 
-def _reaches(n: int, q: Fraction, beta: Fraction) -> bool:
-    """Whether n^beta >= q, for n >= 1 and n^beta != q.
+def _exact_root(n: int, r: int) -> Optional[int]:
+    """n^(1/r) for n >= 0 if it is an integer, else None."""
+    m = n if n <= 1 else _ceil_root(n, r) if n.bit_length() > r else None  # else 1 < n^(1/r) < 2
+    return m if m is not None and m ** r == n else None
 
-    Compares p*ln(n) with r*ln(q) for beta = p/r in decimal arithmetic,
-    doubling the precision until their difference exceeds a bound on its
-    rounding error (each ln is correctly rounded; the bound allows 100
-    units in the last place of the largest term). The difference is
-    never 0 where choose_resolution calls this: n^p = q^r needs q = m^p
-    and n = m^r for an integer m, so n < 2^(_SEED_BITS+1) and r*bits(q)
-    > _EXACT_BITS rule it out for q > 1.
+
+def holder_sign(lhs: Fraction, K: Fraction, t: Fraction, beta: Fraction) -> int:
+    """The exact sign (-1, 0 or 1) of lhs - K*t^beta, for lhs >= 0, K > 0,
+    t in [0, 1] and beta = p/r in (0, 1].
+
+    A tie makes t^beta = lhs/K rational, so t^(1/r) too (p and r are
+    coprime): t = s^r, decided as lhs against K*s^p. Any other t has
+    t < t^beta < 1 and is decided by the bracket lhs <= K*t or lhs >= K,
+    then by (lhs/K)^r against t^p while that has at most _EXACT_BITS bits,
+    else by r*ln(lhs/K) against p*ln(t) in decimal, at a precision doubled
+    until their difference, never 0 here, exceeds a bound on its rounding
+    error (100 units in the last place of the largest term).
     """
-    terms = ((beta.numerator, n), (-beta.denominator, q.numerator),
-             (beta.denominator, q.denominator))
+    p, r = beta.numerator, beta.denominator
+    u, v = _exact_root(t.numerator, r), _exact_root(t.denominator, r)
+    if u is not None and v is not None:
+        rhs = K * Fraction(u ** p, v ** p)
+        return (lhs > rhs) - (lhs < rhs)
+    if lhs <= K * t or lhs >= K:
+        return -1 if lhs < K else 1
+    ratio = lhs / K
+    sizes = (ratio.numerator, ratio.denominator, t.numerator, t.denominator)
+    if r * sum(n.bit_length() for n in sizes) <= _EXACT_BITS:
+        return 1 if ratio ** r > t ** p else -1
+    terms = ((r, ratio.numerator), (-r, ratio.denominator), (-p, t.numerator), (p, t.denominator))
     prec = 40
     while True:
         with localcontext() as ctx:
@@ -195,7 +209,7 @@ def _reaches(n: int, q: Fraction, beta: Fraction) -> bool:
             parts = [Decimal(c) * Decimal(x).ln() for c, x in terms]
             diff = sum(parts)
             if abs(diff) > max(map(abs, parts)) * Decimal(10) ** (3 - prec):
-                return diff > 0
+                return 1 if diff > 0 else -1
         prec *= 2
 
 
@@ -458,11 +472,11 @@ class ApproximatorBundle:
 
     @property
     def certified(self) -> bool:
-        """K/(M+1)^beta <= epsilon, i.e. the integer M+1 >= (K/eps)^(1/beta):
-        exact whenever choose_resolution is."""
+        """K/(M+1)^beta <= epsilon, decided exactly by holder_sign for any
+        M, beta, K and epsilon."""
         h = self.holder
         return (h is not None and self.epsilon is not None
-                and self.grid.M + 1 >= choose_resolution(h.K, h.beta, self.epsilon))
+                and holder_sign(self.epsilon, h.K, Fraction(1, self.grid.M + 1), h.beta) >= 0)
 
     @property
     def error_bound(self) -> Optional[float]:

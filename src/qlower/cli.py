@@ -10,17 +10,13 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from typing import Optional, Sequence
 
-from .approx import (
-    HolderFunctionSpec,
-    build_approximator,
-    bundle_from_network,
-    evaluate_implicit,
-)
+from .approx import build_approximator, bundle_from_network, evaluate_implicit
 from .errors import DomainError, QlowerError
 from .harness import (
     builtin_target,
@@ -94,21 +90,13 @@ def _mode(args) -> str:
 
 
 def cmd_approx(args):
-    spec = builtin_target(args.target, args.d)
-    overridden = args.beta is not None or args.K is not None or args.F is not None
-    if overridden:
-        spec = HolderFunctionSpec(
-            spec.evaluator,
-            args.d,
-            args.beta if args.beta is not None else spec.beta,
-            args.K if args.K is not None else spec.K,
-            args.F if args.F is not None else spec.F,
-        )
+    overrides = {k: getattr(args, k) for k in ("beta", "K", "F") if getattr(args, k) is not None}
+    spec = dataclasses.replace(builtin_target(args.target, args.d), **overrides)
     # Build from the claimed constants first: an over-cap grid raises
     # CapacityError here, before the spot-check of user-supplied
     # constants, which takes seconds in high d.
     bundle = build_approximator(spec, args.eps, M_override=args.M)
-    if overridden:
+    if overrides:
         check_holder(spec, name=args.target)
     materialized = bundle.network is not None
     if materialized:
@@ -210,13 +198,14 @@ def cmd_equiv(args):
     if first is not None and mode == "float":
         # An output whose two binary64 texts agree prints its exact text on
         # both sides, so outputs that differ never read alike.
-        rounded = {k: [str(round_binary64(as_rational(v))) for v in first[k]] for k in ("a", "b")}
+        rounded = {k: [str(round_binary64(v)) for v in first[k]] for k in ("a", "b")}
         same = [p == q for p, q in zip(rounded["a"], rounded["b"])]
         first = {**first, **{k: [e if s else r for e, r, s in zip(first[k], rounded[k], same)]
                              for k in ("a", "b")}}
+    diff = report.max_abs_diff  # a float already, inf beyond binary64 (JSON has none)
     payload = {"command": "equiv", "input_dim": a.input_dim,
                "samples": args.samples, "mode": mode, "equivalent": report.equivalent,
-               "max_abs_diff": _render_value(report.max_abs_diff, "float"),
+               "max_abs_diff": diff if math.isfinite(diff) else str(diff),
                "first_divergence": first}
     if report.equivalent:
         return payload, None

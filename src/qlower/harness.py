@@ -22,6 +22,8 @@ from .approx import (
     bundle_from_network,
     bundle_stats,
     check_cap,
+    evaluate_implicit,
+    holder_sign,
     read_target,
 )
 from .errors import DimensionError, DomainError
@@ -34,10 +36,6 @@ HOLDER_CHECK_PAIRS = 10_000
 # Points equivalence_check runs through a net in one packed pass; a unit
 # then holds at most this many lanes.
 _EQUIVALENCE_CHUNK = 128
-
-# Slack for spot checks that must run in binary64 (irrational targets or
-# fractional beta): covers rounding of the evaluator and of |x-y|^beta.
-FLOAT_CHECK_SLACK = 1e-12
 
 # The coordinates check_holder samples: the dyadics i/256, 0 <= i <= 256.
 _HOLDER_GRID = tuple(Fraction(i, 256) for i in range(257))
@@ -101,11 +99,9 @@ def check_holder(
     """Spot-check the claimed inequality |f(x)-f(y)| <= K |x-y|^beta.
 
     Seeded sample pairs with dyadic coordinates, values read by
-    read_target. When beta = 1 and neither value is a float, the pair is
-    decided exactly in integers: with fx = a/b, fy = c/e and K = Kn/Kd,
-    |fx-fy| > K*gap/256 is |a*e - c*b| * Kd * 256 > Kn * gap * b * e.
-    Otherwise it is decided in binary64 with a tiny slack; a difference
-    beyond its range is inf. Raises DomainError on a violated pair, a pair
+    read_target. Each pair is decided exactly by holder_sign, as
+    |f(x)-f(y)| against K*(gap/256)^beta, with a float value taken at its
+    exact binary64 value. Raises DomainError on a violated pair, a pair
     count not an int >= 1 or a seed not an int or a str (or too long for
     str()), and CapacityError on more pairs than QLOWER_CAP, before any is
     drawn. Sampling cannot prove the claim, only catch wrong constants.
@@ -118,25 +114,14 @@ def check_holder(
     except ValueError:  # an integer with more digits than str() allows
         raise DomainError(f"seed {describe_number(seed)} is too large to print") from None
     rng = random.Random(f"holder:{name}:{spec.d}:{seed_text}:{pairs}")
-    exact = spec.beta == 1
-    K_n, K_d = spec.K.numerator, spec.K.denominator
-    K_f, beta_f = float(spec.K), float(spec.beta)
     for _ in range(pairs):
         drawn = _dyadic_indices(rng, 2 * spec.d)
         xi, yi = drawn[:spec.d], drawn[spec.d:]
         gap = max(abs(a - b) for a, b in zip(xi, yi))  # |x-y| is gap/256
         x = [_HOLDER_GRID[i] for i in xi]
         y = [_HOLDER_GRID[i] for i in yi]
-        fx, fy = read_target(spec.evaluator, x), read_target(spec.evaluator, y)
-        if exact and type(fx) is not float and type(fy) is not float:
-            a, b, c, e = fx.numerator, fx.denominator, fy.numerator, fy.denominator
-            violated = abs(a * e - c * b) * K_d * 256 > K_n * gap * b * e
-        else:
-            # gap/256 is exact in binary64. Two floats subtract there; any
-            # other pair exactly, rounded once, so no value overflows.
-            diff = fx - fy if type(fx) is type(fy) is float else round_binary64(Fraction(fx) - Fraction(fy))
-            violated = abs(diff) > K_f * (gap / 256) ** beta_f + FLOAT_CHECK_SLACK
-        if violated:
+        fx, fy = (as_rational(read_target(spec.evaluator, p)) for p in (x, y))
+        if holder_sign(abs(fx - fy), spec.K, _HOLDER_GRID[gap], spec.beta) > 0:
             raise DomainError(
                 f"target {name!r} violates its claimed constants at "
                 f"x={[format_rational(v) for v in x]}, "
@@ -259,7 +244,7 @@ def sup_error(
         for k, x in grid.representatives():
             visit(x, k)
     worst_f = round_binary64(Fraction(worst_n, worst_d))
-    passed = None if bound is None else worst_f <= round_binary64(as_rational(bound))
+    passed = None if bound is None else worst_f <= round_binary64(bound)
     return ErrorReport(sup_error=worst_f, argmax_point=argmax, passed=passed)
 
 
@@ -395,8 +380,10 @@ def report_rows(
 ) -> list[dict]:
     """One row per (target, dimension, epsilon): build the approximator
     of the built-in target, measure its sup error, and record size and
-    certificate columns. An over-cap grid raises CapacityError before the
-    target is evaluated anywhere.
+    certificate columns. ``pass`` is whether the exact error at the
+    scan's argmax is within K/(M+1)^beta, decided by holder_sign. An
+    over-cap grid raises CapacityError before the target is evaluated
+    anywhere.
     """
     rows = []
     names = list(target_names) if target_names else sorted(_BUILTIN)
@@ -405,8 +392,9 @@ def report_rows(
             spec = builtin_target(name, d)
             for eps in epsilons:
                 bundle = build_approximator(spec, eps)
-                report = sup_error(
-                    bundle, spec, n_per_axis=n_per_axis, bound=bundle.error_bound)
+                report = sup_error(bundle, spec, n_per_axis=n_per_axis)
+                x = report.argmax_point
+                err = abs(as_rational(read_target(spec.evaluator, x)) - evaluate_implicit(bundle, x))
                 stats = bundle_stats(bundle)
                 rows.append({
                     "target": name,
@@ -420,7 +408,8 @@ def report_rows(
                     "sparsity": stats["sparsity"],
                     "sup_error": repr(report.sup_error),
                     "bound": repr(bundle.error_bound),
-                    "pass": report.passed,
+                    "pass": holder_sign(err, spec.K, Fraction(1, bundle.grid.M + 1),
+                                        spec.beta) <= 0,
                 })
     return rows
 

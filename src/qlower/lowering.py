@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .approx import check_cap
 from .errors import DomainError
@@ -126,9 +126,18 @@ def decompose_binary(w: Fraction) -> tuple[Fraction, Fraction]:
     raise DomainError(f"{w} is not in the {{0, +-1/2}} alphabet")
 
 
-# The prefixes are immutable, so each is built once per d and shared by
-# every net lowered at that d; the cap bounds each one cached.
-@lru_cache(maxsize=16, typed=True)
+def _per_d(build):
+    """build(d), cached for up to 16 d once d is checked (an unhashable d
+    too): a prefix is immutable and shared by every net lowered at that d."""
+    cached = lru_cache(maxsize=16)(build)
+    def prefix(d: int) -> Network:
+        require_count("d", d)
+        return cached(d)
+    prefix.cache_clear, prefix.cache_info = cached.cache_clear, cached.cache_info
+    return wraps(build)(prefix)
+
+
+@_per_d
 def ternary_prefix(d: int) -> Network:
     """Duplication gadget: (1, x) -> four copies of each coordinate.
 
@@ -136,9 +145,8 @@ def ternary_prefix(d: int) -> Network:
     to four units at weight 1/2 (values stay nonnegative on the cube, so
     ReLU is the identity), the second rebuilds each coordinate as half
     the sum of its four half-copies. Exactly 20(d+1) nonzero weights
-    among 20(d+1)^2 entries. One network per d, built on first use.
+    among 20(d+1)^2 entries.
     """
-    require_count("d", d)
     n = d + 1
     check_cap("ternary prefix", "entries", "lower a net of lower input dimension", 20 * n**2)
     fan = [[HALF if c == src else ZERO for c in range(n)]
@@ -151,7 +159,7 @@ def ternary_prefix(d: int) -> Network:
                    ActivationKind.RELU)
 
 
-@lru_cache(maxsize=16, typed=True)
+@_per_d
 def binary_prefix(d: int) -> Network:
     """Duplication gadget over {+-1/4}: (1, x) -> (1, 1, x_1, x_1, ..., x_d, x_d).
 
@@ -163,10 +171,8 @@ def binary_prefix(d: int) -> Network:
       2. eight copies of 2*y_0 and four copies of each x_k = 2*y_0 - 2*y_k;
       3. two copies of 1 = (16*y_0 - 4*sum x_i)/4 and two of each x_k.
 
-    With n = d + 1 that is 8n^2 + 10n(4n + 4) entries. One network per d,
-    built on first use.
+    With n = d + 1 that is 8n^2 + 10n(4n + 4) entries.
     """
-    require_count("d", d)
     n = d + 1
     check_cap("binary prefix", "entries", "lower a net of lower input dimension",
               8 * n**2 + 10 * n * (4 * n + 4))

@@ -88,8 +88,10 @@ def require_count(name: str, value, least: int = 1) -> None:
         raise DomainError(f"{name} must be an integer >= {least}, got {describe_number(value)}")
 
 
-def round_binary64(value: Fraction) -> float:
-    """The nearest binary64 to value; an infinity beyond binary64's range."""
+def round_binary64(value: RationalLike) -> float:
+    """The nearest binary64 to as_rational(value) (so a non-number, nan or
+    an infinity raises ParseError); an infinity beyond binary64's range."""
+    value = as_rational(value)
     try:
         return float(value)  # int / int: correctly rounded
     except OverflowError:

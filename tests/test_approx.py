@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlower.approx
+import qlower.harness
 from qlower import (
     ActivationKind,
     ApproximatorBundle,
@@ -343,6 +344,104 @@ def test_certified_matches_bench_reference(monkeypatch):
                     bundle = ApproximatorBundle(GridSpec(1, M), eps, (), spec, "")
                     assert bundle.certified == reference.certifies(K, beta, eps, M), \
                         (K, beta, eps, M)
+
+
+def test_certified_matches_bench_reference_at_near_ties(monkeypatch):
+    """K/(M+1)^beta = eps exactly where M+1 = m^(1/beta): such an eps
+    certifies, and so does one 10^-30 above it, while one 10^-30 below
+    does not, nor does M one smaller."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    reference = importlib.import_module("reference")
+    cases = 0
+    for n in (1, 2, 3):
+        beta = F(1, n)
+        for K in (F(1, 3), F(1), F(7, 3), F(5, 2)):
+            spec = HolderFunctionSpec(lambda x: F(0), 1, beta, K, 1)
+            for m in range(2, 12):
+                cases += 1
+                for eps in (K / m, K / m - F(1, 10**30), K / m + F(1, 10**30)):
+                    for M in {m ** n - 1, max(1, m ** n - 2)}:
+                        bundle = ApproximatorBundle(GridSpec(1, M), eps, (), spec, "")
+                        assert bundle.certified == reference.certifies(K, beta, eps, M), \
+                            (K, beta, eps, M)
+                assert ApproximatorBundle(GridSpec(1, m ** n - 1), K / m, (), spec, "").certified
+    assert cases == 120
+
+
+def test_holder_sign_matches_bench_reference(monkeypatch):
+    """holder_sign(err, K, 1/(M+1), beta) <= 0 is within_holder_bound for
+    integer 1/beta, ties (err = K/m at M+1 = m^(1/beta)) included."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    reference = importlib.import_module("reference")
+    for beta in (F(1), F(1, 2), F(1, 3), F(1, 4)):
+        for K in (F(1, 2), F(1), F(7, 3)):
+            errors = [F(j, 64) for j in range(81)] + [K / m for m in range(1, 7)]
+            for M in range(1, 31):
+                for err in errors:
+                    assert ((qlower.approx.holder_sign(err, K, F(1, M + 1), beta) <= 0)
+                            == reference.within_holder_bound(err, K, beta, M)), (err, K, beta, M)
+
+
+class TestHolderSign:
+    """holder_sign decides lhs against K*t^beta exactly on each step."""
+
+    def test_signs_on_each_step(self):
+        sign = qlower.approx.holder_sign
+        # t = s^r: t^beta is rational, and ties are decided as they are
+        assert sign(F(0), F(1), F(0), F(1, 2)) == 0
+        assert sign(F(3), F(3), F(1), F(1, 3)) == 0
+        assert sign(F(1, 2), F(1), F(1, 4), F(1, 2)) == 0
+        assert sign(F(1, 2) + F(1, 10**40), F(1), F(1, 4), F(1, 2)) == 1
+        assert sign(F(16, 27), F(2), F(16, 81), F(3, 4)) == 0  # (16/81)^(3/4) = 8/27
+        assert sign(F(15, 27), F(2), F(16, 81), F(3, 4)) == -1
+        # the bracket K*t < K*t^beta < K
+        assert sign(F(1, 2), F(1), F(1, 2), F(1, 3)) == -1
+        assert sign(F(1), F(1), F(1, 2), F(1, 3)) == 1
+        # integer powers: 2^(-1/2) lies between 7071/10^4 and 7072/10^4
+        assert sign(F(7071, 10**4), F(1), F(1, 2), F(1, 2)) == -1
+        assert sign(F(7072, 10**4), F(1), F(1, 2), F(1, 2)) == 1
+        # logarithms: beta with a 2^52 denominator
+        beta = F(0.7071067811865476)
+        assert sign(F(6125, 10**4), F(1), F(1, 2), beta) == -1  # 2^(-beta) = 0.61254...
+        assert sign(F(6126, 10**4), F(1), F(1, 2), beta) == 1
+
+    def test_bracket_keeps_boundary_pairs_off_the_logarithms(self, monkeypatch):
+        # lhs = K*t and lhs = K are decided by the bracket for a beta with a
+        # 2^52 denominator; so is every pair of mean, where |f(x)-f(y)| = K*t
+        monkeypatch.setattr(qlower.approx, "localcontext", None)  # a call raises
+        sign, beta = qlower.approx.holder_sign, F(0.7071067811865476)
+        assert sign(F(3, 2), F(3), F(1, 2), beta) == -1
+        assert sign(F(3), F(3), F(1, 2), beta) == 1
+        qlower.harness.check_holder(dataclasses.replace(builtin_target("mean", 1), beta=beta))
+
+    def test_tie_too_large_for_integer_powers_ends(self):
+        # (1/w)^2 against (1/w^2)^1 has over _EXACT_BITS bits; the tie is
+        # found as t = (1/w)^2, so the logarithms never see it.
+        w = 3 ** 12000
+        sign = qlower.approx.holder_sign
+        assert sign(F(1, w), F(1), F(1, w * w), F(1, 2)) == 0
+        assert sign(F(1, w) + F(1, w * w), F(1), F(1, w * w), F(1, 2)) == 1
+        assert sign(F(1, w) - F(1, w * w), F(1), F(1, w * w), F(1, 2)) == -1
+
+
+class TestCertifiedBeyondTheSeedLimit:
+    """certified needs no resolution: it is decided for any M, even where
+    choose_resolution refuses one above 2^50."""
+
+    def test_user_resolution_far_below_the_certifying_one(self):
+        spec = HolderFunctionSpec(lambda x: F(0), 1, F(1, 10**9), 1, 1)  # N = 2^(10^9)
+        bundle = build_approximator(spec, F(1, 2), M_override=5)
+        assert bundle.certified is False
+        assert bundle.certificate_dict()["certified"] is False
+
+    def test_resolutions_around_2_to_60(self):
+        beta = F(1, 2) - F(1, 2**60)  # N = 2^(30/beta), a little above 2^60
+        spec = HolderFunctionSpec(lambda x: F(0), 1, beta, 2**30, 1)
+        with pytest.raises(DomainError, match="resolution too large"):
+            choose_resolution(spec.K, beta, 1)
+        certified = [ApproximatorBundle(GridSpec(1, M), F(1), (), spec, "").certified
+                     for M in (2**60 - 1, 2**61 - 1)]
+        assert certified == [False, True]
 
 
 class TestOneHot:

@@ -155,9 +155,30 @@ class TestApprox:
         original = qlower.cli.check_holder
         monkeypatch.setattr(qlower.cli, "check_holder",
                             lambda spec, name: (seen.append(name), original(spec, name=name)))
-        code, _, _ = run(capsys, "approx", "--target", "root", "--d", 1, *override,
+        code, _, _ = run(capsys, "approx", "--target", "root", "--d", 2, *override,
                          "--eps", "1/2", "--out", tmp_path / "root.json")
         assert code == 0 and seen == checked
+
+    def test_root_claim_refused_exactly_at_d1(self, capsys, tmp_path):
+        # 35 of the 10,000 seeded pairs violate root's claim exactly; the
+        # binary64 difference and bound agree on every one of them.
+        code, out, err = run(capsys, "approx", "--target", "root", "--d", 1, "--K", "1",
+                             "--eps", "1/2", "--out", tmp_path / "root.json")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "DomainError",
+            "message": "target 'root' violates its claimed constants at x=['207/256'], y=['0']"}
+
+    def test_uncertified_resolution_far_above_2_to_50(self, capsys, tmp_path):
+        # (K/eps)^(1/beta) = 2^(10^9): certified is decided without it.
+        out_path = tmp_path / "a.json"
+        code, payload, err = run_json(
+            capsys, "approx", "--target", "mean", "--d", 1, "--beta", "1e-9",
+            "--eps", "1/2", "--M", 5, "--out", out_path)
+        assert code == 1 and payload["certified"] is False
+        assert json.loads(err)["message"] == "resolution M=5 does not certify eps=0.5"
+        assert json.loads((tmp_path / "a.cert.json").read_text())["certified"] is False
+        assert out_path.exists()
 
     def test_over_cap_grid_fails_before_holder_check(self, capsys, tmp_path, monkeypatch):
         checked = []

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 
 import qlower.approx
 import qlower.harness
+import qlower.rationals
 from qlower import (
     ActivationKind,
     ApproximatorBundle,
@@ -168,16 +170,28 @@ class TestBuiltinClaims:
         assert (spec.beta, spec.K) == (1, 1)
         check_holder(spec, name=name)
 
-    def test_root_passes_the_binary64_rule_on_every_pair(self, monkeypatch):
-        """check_holder's binary64 rule holds for root on all 257^2 pairs
-        (a/256, b/256) at d=1. That covers the dyadic pairs of every d:
-        root reads only the largest coordinate, its values at x and y are
-        its d=1 values at max x and max y, and |max x - max y| <=
-        max |x_i - y_i|, so the pair's gap is no smaller than theirs."""
+    def test_root_is_refused_exactly_over_every_pair(self, monkeypatch):
+        """Decided exactly, root's claim fails on the dyadic pairs
+        (a/256, b/256) at d=1: fed all 257^2 of them in order, check_holder
+        stops at the first violating one, (0, 1/128), whose binary64 square
+        root rounds up. The d=1 pairs cover every d: root reads only the
+        largest coordinate, and |max x - max y| <= max |x_i - y_i|."""
         drawn = iter(itertools.product(range(257), repeat=2))
         monkeypatch.setattr(qlower.harness, "_dyadic_indices", lambda rng, n: list(next(drawn)))
-        check_holder(builtin_target("root", 1), pairs=257**2, name="root")
-        assert next(drawn, None) is None
+        with pytest.raises(DomainError) as err:
+            check_holder(builtin_target("root", 1), pairs=257**2, name="root")
+        assert str(err.value).endswith("at x=['0'], y=['1/128']")
+        assert next(drawn) == (0, 3)  # refused at the third pair, (0, 2)
+
+    @pytest.mark.parametrize("d, refused", [(1, "x=['207/256'], y=['0']"), (2, None), (3, None)])
+    def test_root_seeded_check_is_exact(self, d, refused):
+        """The default seeded draw meets one of root's exact violations at
+        d=1 (35 of its 10,000 pairs violate), none at d = 2 and 3."""
+        if refused is None:
+            check_holder(builtin_target("root", d), name="root")
+        else:
+            with pytest.raises(DomainError, match=re.escape(refused)):
+                check_holder(builtin_target("root", d), name="root")
 
     def test_root_exact_violations_are_pinned(self):
         """Decided exactly, |f(x) - f(y)|^2 * 256 <= gap fails on 122 of
@@ -272,22 +286,46 @@ class TestCheckHolder:
             assert str(err.value) == want
 
     def test_unit_beta_decided_exactly_not_with_the_float_slack(self):
-        # 10^-15 * gap/256 over the claim is far inside FLOAT_CHECK_SLACK
+        # 10^-15 * gap/256 over the claim: far inside any binary64 slack
         spec = HolderFunctionSpec(lambda x: x[0] * F(10**15 + 1, 10**15), 1, 1, 1, 1)
         with pytest.raises(DomainError, match="violates"):
             check_holder(spec, pairs=500, name="probe")
 
-    def test_float_pair_exactly_at_the_slackened_bound_passes(self):
-        # f(x) - f(0) is K*(gap/256)**beta + FLOAT_CHECK_SLACK, computed as
-        # check_holder computes its bound, on every pair drawn with y = 0.
-        slack = qlower.harness.FLOAT_CHECK_SLACK
-
-        def at_bound(x):
-            return (float(x[0]) ** 0.5 + slack) if x[0] else 0.0
-
-        points = self.drawn_points("probe", 1, 0, 2000)
-        assert any(y[0] == 0 < x[0] for x, y in zip(points[::2], points[1::2]))
-        check_holder(HolderFunctionSpec(at_bound, 1, F(1, 2), 1, 1), pairs=2000, name="probe")
+    # One pair (i/256, 0) per step of holder_sign that decides a pair near
+    # the bound: the largest binary64 f(i/256) <= K*(i/256)^beta passes, the
+    # next binary64 up is refused. Where (i/256)^beta is rational, that
+    # largest value is the bound itself, a tie.
+    @pytest.mark.parametrize("beta, K, i, at, logs", [
+        pytest.param(1, 1, 77, 77 / 256, False, id="tie-unit-beta"),
+        pytest.param(F(1, 2), 1, 64, 0.5, False, id="tie-square"),
+        pytest.param(F(1, 3), 3, 256, 3.0, False, id="tie-at-one"),
+        pytest.param(F(1, 2), F(7, 3), 77, None, False, id="integer-powers"),
+        pytest.param(F(0.7071067811865476), 1, 128, None, True, id="logarithms"),
+        pytest.param(F("0.7071067811865476"), F(5, 3), 33, None, True,
+                     id="logarithms-decimal-beta"),
+    ])
+    def test_pairs_at_the_bound_on_each_step(self, monkeypatch, beta, K, i, at, logs):
+        if at is None:
+            with localcontext() as ctx:
+                ctx.prec = 80  # K*(i/256)^beta to 80 digits, far from any binary64
+                bound = F(Decimal(K.numerator) / K.denominator * (Decimal(i) / 256) ** (
+                    Decimal(beta.numerator) / beta.denominator))
+            at = math.nextafter(float(bound), 0)
+            while F(math.nextafter(at, math.inf)) < bound:
+                at = math.nextafter(at, math.inf)
+            assert F(at) < bound < F(math.nextafter(at, math.inf))
+        real, contexts = qlower.approx.localcontext, []
+        monkeypatch.setattr(qlower.approx, "localcontext",
+                            lambda: contexts.append(1) or real())
+        monkeypatch.setattr(qlower.harness, "_dyadic_indices", lambda rng, n: [i, 0])
+        for value, passes in ((at, True), (math.nextafter(at, math.inf), False)):
+            spec = HolderFunctionSpec(lambda x: value if x[0] else 0.0, 1, beta, K, 1)
+            if passes:
+                check_holder(spec, pairs=1, name="probe")
+            else:
+                with pytest.raises(DomainError, match=f"x=\\['{i // math.gcd(i, 256)}"):
+                    check_holder(spec, pairs=1, name="probe")
+        assert bool(contexts) == logs
 
     # Messages the randrange(257) sampler gave: the shared draw names the
     # same first violating pair of the built-in targets with K too small.
@@ -330,19 +368,20 @@ class TestIntegerScanWork:
     """The scan and the built-in ``mean`` compare and add in integers."""
 
     @pytest.mark.parametrize("n", [11, 201])
-    def test_float_scan_coerces_only_the_bound(self, monkeypatch, n):
+    def test_float_scan_coerces_only_the_sup_and_the_bound(self, monkeypatch, n):
         spec = builtin_target("root", 2)
         bundle = build_approximator(spec, F(1, 5))
         calls = []
-        real = qlower.harness.as_rational
+        real = qlower.rationals.as_rational
 
         def counting(value):
             calls.append(value)
             return real(value)
 
-        monkeypatch.setattr(qlower.harness, "as_rational", counting)
-        sup_error(bundle, spec, n_per_axis=n, bound=F(1, 5))
-        assert calls == [F(1, 5)]
+        for module in (qlower.harness, qlower.rationals):
+            monkeypatch.setattr(module, "as_rational", counting)
+        report = sup_error(bundle, spec, n_per_axis=n, bound=F(1, 5))
+        assert len(calls) == 2 and float(calls[0]) == report.sup_error and calls[1] == F(1, 5)
 
     @pytest.mark.parametrize("x", [
         (1,), (0, 1, 1), (0.5, 0.1), ("1/3", "0.3", "2"),
@@ -1113,6 +1152,18 @@ class TestBundleStatsAndReport:
         bundle = build_approximator(builtin_targets(1)["mean"], F(1, 5))
         row = report_rows([1], ["1/5"], ["mean"], n_per_axis=11)[0]
         assert row["bound"] == repr(bundle.error_bound) == "0.16666666666666666"
+
+    @pytest.mark.parametrize("excess, passes", [(0, True), (F(1, 10**30), False)])
+    def test_pass_is_the_exact_error_against_the_exact_bound(self, monkeypatch, excess, passes):
+        # mean at eps=1/5 (M=5) errs by exactly K/(M+1) = 1/6 at x=1; 10^-30
+        # more is the same in binary64, yet over the bound
+        def mean_plus(x):
+            return x[0] + (excess if x[0] == 1 else 0)
+
+        monkeypatch.setitem(qlower.harness._BUILTIN, "mean", (mean_plus, 1, 1, 1))
+        row = report_rows([1], ["1/5"], ["mean"], n_per_axis=11)[0]
+        assert row["sup_error"] == row["bound"] == "0.16666666666666666"
+        assert row["pass"] is passes
 
     def test_over_cap_grid_refused_before_any_target_value(self, monkeypatch):
         # 2^200 cells: refused from the constants, before a readout or

@@ -277,6 +277,13 @@ class TestCachedPrefixes:
                 prefix(50)
 
 
+@pytest.mark.parametrize("prefix", [ternary_prefix, binary_prefix])
+@pytest.mark.parametrize("d", [[1], {}], ids=["list", "dict"])
+def test_unhashable_d_refused_before_the_cache(prefix, d):
+    with pytest.raises(DomainError, match=rf"^d must be an integer >= 1, got \{str(d)[0]}"):
+        prefix(d)
+
+
 class TestDistinctObjectLowering:
     """binarize splits each distinct entry object of a matrix once."""
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlower import ParseError, as_rational, format_rational
+from qlower import ParseError, as_rational, format_rational, round_binary64
 from qlower.rationals import describe_number, lcm_denominators
 
 
@@ -46,6 +46,22 @@ class TestAsRational:
             assert as_rational("1e5000") == 10**5000
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+class TestRoundBinary64:
+    @pytest.mark.parametrize("value, expected", [
+        (Fraction(1, 3), 1 / 3), ("0.1", 0.1), (7, 7.0), (0.5, 0.5),
+        (Fraction(10**400), float("inf")), (Fraction(-(10**400)), float("-inf")),
+    ])
+    def test_rounds_once(self, value, expected):
+        assert round_binary64(value) == expected
+
+    @pytest.mark.parametrize("bad", [None, "junk", [1], float("nan"), float("inf"),
+                                     float("-inf")],
+                             ids=["None", "junk", "list", "nan", "inf", "-inf"])
+    def test_non_numbers_refused(self, bad):
+        with pytest.raises(ParseError):
+            round_binary64(bad)
 
 
 class TestFormatRational:

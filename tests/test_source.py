@@ -36,3 +36,23 @@ def test_no_private_name_imported_from_another_module(path):
                and (node.level > 0 or (node.module or "").split(".")[0] == "qlower")
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+# The functions that decide a Hoelder inequality, and the module of each.
+EXACT_DECISIONS = {"holder_sign": "approx.py", "check_holder": "harness.py",
+                   "certified": "approx.py"}
+
+
+@pytest.mark.parametrize("name", EXACT_DECISIONS)
+def test_hoelder_decisions_read_no_binary64(name):
+    """No float(), round_binary64() or math.* in the exact decisions, so
+    that no verdict among them can fall back to binary64 unnoticed."""
+    path = Path(qlower.__file__).parent / EXACT_DECISIONS[name]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    [func] = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == name]
+    binary64 = [ast.unparse(node) for node in ast.walk(func)
+                if (isinstance(node, ast.Name) and node.id in ("float", "round_binary64"))
+                or (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "math")]
+    assert binary64 == []
