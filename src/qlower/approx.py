@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Optional
 from .errors import CapacityError, DimensionError, DomainError
 from .network import ActivationKind, LayerPlan, Network, WeightMatrix, plan_layer
 from .rationals import (
-    RationalLike, as_rational, describe_number, format_rational, require_count, round_binary64)
+    RationalLike, as_rational, describe_number, require_count, round_binary64)
 
 DEFAULT_SELECTOR_CAP = 10**8
 CAP_ENV_VAR = "QLOWER_CAP"
@@ -113,6 +113,7 @@ class GridSpec:
 
 _EXACT_BITS = 1 << 16  # largest integer power that the exact comparisons expand
 _SEED_BITS = 50  # largest log2 resolution choose_resolution seeds from a binary64 root
+_MAX_STEPS = 64  # choose_resolution's steps from that root; binary64 is a few steps off
 
 
 def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike) -> int:
@@ -124,8 +125,8 @@ def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike
     Exact for every rational beta = p/r: the result is the least N >= 1
     with N^p >= (K/eps)^r, found in integers while (K/eps)^r has at most
     _EXACT_BITS bits. Else (the 2^52 denominator of a binary64 beta) it
-    steps from the binary64 root by holder_sign, and a resolution above
-    2^_SEED_BITS raises DomainError.
+    steps from the binary64 root by holder_sign (over _MAX_STEPS steps is a
+    bug: RuntimeError), and a resolution above 2^_SEED_BITS raises DomainError.
     """
     K_, beta_, eps_ = map(as_rational, (K, beta, epsilon))
     if K_ <= 0 or eps_ <= 0:
@@ -152,11 +153,17 @@ def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike
             f"2^{_SEED_BITS} and (K/eps)^r has over {_EXACT_BITS} bits for "
             f"beta = p/r {f'= {beta_f}' if beta_f else 'below 2^-1074'}")
     n = math.ceil(2.0 ** log2_n)  # the binary64 root, off by at most a few
-    while holder_sign(eps_, K_, Fraction(1, n), beta_) < 0:
-        n += 1
-    while n > 1 and holder_sign(eps_, K_, Fraction(1, n - 1), beta_) >= 0:
-        n -= 1
-    return n
+    n = _first(range(n, n + _MAX_STEPS + 1),
+               lambda m: holder_sign(eps_, K_, Fraction(1, m), beta_) >= 0)
+    return _first(range(n, n - _MAX_STEPS - 1, -1),
+                  lambda m: m == 1 or holder_sign(eps_, K_, Fraction(1, m - 1), beta_) < 0)
+
+
+def _first(steps: range, found: Callable[[int], bool]) -> int:
+    """The first n of steps with found(n), else RuntimeError."""
+    for n in filter(found, steps):
+        return n
+    raise RuntimeError(f"choose_resolution made {_MAX_STEPS} steps from {steps.start}")
 
 
 def _ceil_root(c: int, p: int) -> int:
@@ -407,7 +414,7 @@ def read_target(evaluator: Callable, x: Sequence[Fraction], cell: Optional[int] 
     except Exception as exc:
         where = "" if cell is None else f"cell {cell}, "
         raise DomainError(f"target evaluator failed at {where}point "
-                          f"{[format_rational(v) for v in x]}") from exc
+                          f"{[describe_number(v) for v in x]}") from exc
 
 
 def build_readout(f, grid: GridSpec) -> tuple[Fraction, ...]:
@@ -466,7 +473,7 @@ class ApproximatorBundle:
         # No two threshold or selector rows are equal, and plan_layer keeps
         # their order, so no layer merges units. Selector row r is (r, tail)
         # in integers already: one group, as plan_layer would find it.
-        selector = LayerPlan(1, (), ((_selector_tail(self.grid), range(self.grid.cell_count)),), None)
+        selector = LayerPlan(1, ((_selector_tail(self.grid), range(self.grid.cell_count)),), None)
         vars(net)["_plan"] = (plan_layer(threshold, None), selector, plan_layer(readout, None))
         return net
 
@@ -544,8 +551,8 @@ def _require_rows(name: str, mat: WeightMatrix, expected: Callable) -> None:
         if got != want:
             c = next(c for c in range(mat.cols) if got[c] != want[c])
             raise DomainError(
-                f"{name} entry ({r}, {c}) is {format_rational(got[c])}, expected "
-                f"{format_rational(want[c])}: not the canonical approximator construction"
+                f"{name} entry ({r}, {c}) is {describe_number(got[c])}, expected "
+                f"{describe_number(want[c])}: not the canonical approximator construction"
             )
 
 

@@ -124,8 +124,8 @@ def check_holder(
         if holder_sign(abs(fx - fy), spec.K, _HOLDER_GRID[gap], spec.beta) > 0:
             raise DomainError(
                 f"target {name!r} violates its claimed constants at "
-                f"x={[format_rational(v) for v in x]}, "
-                f"y={[format_rational(v) for v in y]}"
+                f"x={[describe_number(v) for v in x]}, "
+                f"y={[describe_number(v) for v in y]}"
             )
 
 

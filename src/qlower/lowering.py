@@ -112,7 +112,8 @@ def decompose_ternary(w: Fraction) -> tuple[Fraction, Fraction, Fraction, Fracti
     try:
         return _TERNARY_SPLITS[w]
     except KeyError:
-        raise DomainError(f"{w} is not in the {{0, +-1/2, +-1, 2}} alphabet") from None
+        raise DomainError(
+            f"{describe_number(w)} is not in the {{0, +-1/2, +-1, 2}} alphabet") from None
 
 
 def decompose_binary(w: Fraction) -> tuple[Fraction, Fraction]:
@@ -123,7 +124,7 @@ def decompose_binary(w: Fraction) -> tuple[Fraction, Fraction]:
         return (QUARTER, QUARTER)
     if w == -HALF:
         return (-QUARTER, -QUARTER)
-    raise DomainError(f"{w} is not in the {{0, +-1/2}} alphabet")
+    raise DomainError(f"{describe_number(w)} is not in the {{0, +-1/2}} alphabet")
 
 
 def _per_d(build):
@@ -222,9 +223,8 @@ def _require_lowerable(net: Network, alphabet: WeightSet, pass_name: str) -> Non
             f"{pass_name} requires the relu activation, got {net.activation.value}"
         )
     if net.output_scale != 1:
-        raise DomainError(
-            f"{pass_name} requires output_scale 1 (rescale first), got {net.output_scale}"
-        )
+        raise DomainError(f"{pass_name} requires output_scale 1 (rescale first), "
+                          f"got {describe_number(net.output_scale)}")
     report = validate(net, alphabet)
     if not report.passed:
         i, r, c, v = report.offender

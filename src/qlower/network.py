@@ -26,12 +26,12 @@ use. Units whose rows are identical compute identical values, so every
 layer keeps only its distinct rows, and the next layer sums the columns
 of the units it merged, once per distinct row, before its own rows are
 compared. The lowering passes duplicate every hidden unit, so a lowered
-net shrinks back to about its source's widths. Rows that differ only in
-column 0 share their other columns, the part: the plan holds a shared
-part once, with one constant per row, and takes its dot product once
-per point. Every selector row of an approximator is ``(r, tail)``, so
-``approx`` derives its entries from the grid as they are read, and
-seeds its ``LayerPlan`` as one group; ``plan_layer`` plans the rest.
+net shrinks back to about its source's widths. A distinct row is a
+constant, column 0, and a part, the other columns: the plan holds each
+distinct part once, as a group with one constant per row that has it,
+and takes its dot product once per point. Every selector row of an
+approximator is ``(r, tail)``, so ``approx`` derives its entries from the
+grid as they are read, and seeds its plan as one group.
 Outputs are expanded back to one value per unit, as are
 ``forward_trace``'s layers, so the plan changes no value.
 
@@ -226,16 +226,14 @@ class LayerPlan(NamedTuple):
     The matrix times ``scale`` (the lcm of its denominators) is read in
     integers over the distinct units of the previous layer. Each of its
     distinct rows is a constant, column 0, and a part, the other columns.
-    ``rows`` holds in full each row whose part no other row has.
-    ``groups`` holds each part that two or more rows share once, as
-    ``(part, constants)``: the rows ``(c, *part)`` for c in constants.
-    The plan computes ``rows``, then each group's rows, in order;
+    ``groups`` holds each distinct part once, in the order it first
+    appears, as ``(part, constants)``: the rows ``(c, *part)`` for c in
+    constants. The plan computes each group's rows in order;
     ``gather[u]`` is the index of unit u's value in that order, and
     ``gather`` is None when that order is the units' own.
     """
 
     scale: int
-    rows: tuple[tuple[int, ...], ...]
     groups: tuple[tuple[tuple[int, ...], Sequence[int]], ...]
     gather: tuple[int, ...] | None
 
@@ -290,16 +288,13 @@ def plan_layer(mat: WeightMatrix, merged: tuple[int, ...] | None) -> LayerPlan:
     members: dict[int, list[int]] = {}  # id(part) -> indices into keys
     for i, (_, part) in enumerate(keys):
         members.setdefault(id(part), []).append(i)
-    single = [m for m in members.values() if len(m) == 1]
-    shared = [m for m in members.values() if len(m) > 1]
     place = [0] * len(keys)
-    for p, i in enumerate(i for m in single + shared for i in m):
+    for p, i in enumerate(i for m in members.values() for i in m):
         place[i] = p
     gather = tuple(place[of_raw[g]] for g in raw_gather)
     return LayerPlan(
         scale,
-        tuple((keys[i][0], *keys[i][1]) for i, in single),
-        tuple((keys[m[0]][1], tuple(keys[i][0] for i in m)) for m in shared),
+        tuple((keys[m[0]][1], tuple(keys[i][0] for i in m)) for m in members.values()),
         None if gather == tuple(range(mat.rows)) else gather,
     )
 
@@ -329,8 +324,8 @@ def forward_integers(net: Network, points: Sequence[Sequence[int]], den: int,
     output unit with the output scale applied, and their one positive
     denominator. Each layer works on integers over a running common
     denominator, one value per distinct unit of the plan; the constant
-    coordinate enters as den. A group's part takes one dot product with
-    nums[1:], and each of its rows adds its constant times nums[0].
+    coordinate enters as den. Each group's part takes one dot product
+    with nums[1:], and each of its rows adds its constant times nums[0].
 
     One point runs on plain integers, with the activation fused into the
     row sums. Two or more run together, packed into lanes (``_Lanes``):
@@ -353,29 +348,25 @@ def forward_integers(net: Network, points: Sequence[Sequence[int]], den: int,
         lanes, nums = None, [den, *points[0]]
     for layer in plan[:-1]:
         den *= layer.scale
-        shared = layer.groups and _part_sums(layer.groups, nums)
+        n0, rest = nums[0], nums[1:]
         if lanes:
-            nums = lanes.activate((sum(map(mul, row, nums)) for row in layer.rows), relu, den)
-            for s, n0, constants in shared:
-                nums += lanes.activate((s + c * n0 for c in constants), relu, den)
+            nums = lanes.activate((s + c * n0 for part, constants in layer.groups
+                                   for s in (sum(map(mul, part, rest)),) for c in constants),
+                                  relu, den)
         elif relu:
-            nums = [s if (s := sum(map(mul, row, nums))) > 0 else 0 for row in layer.rows]
-            for s, n0, constants in shared:
-                nums += [v if (v := s + c * n0) > 0 else 0 for c in constants]
+            nums = [v if (v := s + c * n0) > 0 else 0 for part, constants in layer.groups
+                    for s in (sum(map(mul, part, rest)),) for c in constants]
         else:
-            nums = [1 if 0 <= sum(map(mul, row, nums)) < den else 0 for row in layer.rows]
-            for s, n0, constants in shared:
-                nums += [1 if 0 <= s + c * n0 < den else 0 for c in constants]
+            nums = [1 if 0 <= s + c * n0 < den else 0 for part, constants in layer.groups
+                    for s in (sum(map(mul, part, rest)),) for c in constants]
         if not relu:
             den = 1
         if trace is not None:
             trace.append(_expand([Fraction(n, den) for n in nums], layer.gather))
-    last, scale = plan[-1], net.output_scale
-    shared, k = last.groups and _part_sums(last.groups, nums), scale.numerator
-    out = [sum(map(mul, row, nums)) * k for row in last.rows]
-    for s, n0, constants in shared:
-        out += [(s + c * n0) * k for c in constants]
-    den *= last.scale * scale.denominator
+    last, k, n0, rest = plan[-1], net.output_scale.numerator, nums[0], nums[1:]
+    out = [(s + c * n0) * k for part, constants in last.groups
+           for s in (sum(map(mul, part, rest)),) for c in constants]
+    den *= last.scale * net.output_scale.denominator
     if lanes:
         return list(zip(*_expand(list(map(lanes.unpack, out)), last.gather))), den
     return [_expand(out, last.gather)], den
@@ -393,8 +384,8 @@ class _Lanes:
 
     B is the bit length of a bound on every such value, plus 2, rounded
     up to a byte. The bound starts at the inputs' largest |value| and is
-    multiplied, layer by layer, by the plan's largest row l1 norm (a
-    group's is Σ|part| + max|constant|), and on the last layer by the
+    multiplied, layer by layer, by the plan's largest row l1 norm (the
+    largest Σ|part| + max|constant| of a group), and on the last layer by the
     output scale's numerator. An indicator layer compares s and s - den,
     so it counts max(bound, den), and its output is at most 1. The +2
     keeps |s - den| <= 2·max(bound, den) < 2^(B-1).
@@ -451,15 +442,7 @@ class _Lanes:
 
 def _row_norm(layer: LayerPlan) -> int:
     """The largest l1 norm of the layer's rows."""
-    return max([sum(map(abs, row)) for row in layer.rows]
-               + [sum(map(abs, part)) + max(map(abs, constants))
-                  for part, constants in layer.groups])
-
-
-def _part_sums(groups: tuple, nums: list[int]) -> list:
-    """(dot product of the part with nums[1:], nums[0], constants) per group."""
-    n0, rest = nums[0], nums[1:]
-    return [(sum(map(mul, part, rest)), n0, constants) for part, constants in groups]
+    return max(sum(map(abs, part)) + max(map(abs, constants)) for part, constants in layer.groups)
 
 
 def _expand(values: list, gather: tuple[int, ...] | None) -> tuple:
@@ -514,7 +497,7 @@ def validate(net: Network, weight_set: WeightSet) -> ValidationReport:
             continue
         idx, e = next((j, e) for j, e in enumerate(mat.entries) if e not in members)
         r, c = divmod(idx, mat.cols)
-        return ValidationReport(False, weight_set, (i, r, c, format_rational(e)))
+        return ValidationReport(False, weight_set, (i, r, c, describe_number(e)))
     return ValidationReport(True, weight_set, None)
 
 
@@ -669,5 +652,7 @@ def load_network(path) -> Network:
 
 
 def save_network(net: Network, path) -> None:
+    """Write serialize(net) to path; a net it refuses leaves no file."""
+    data = serialize(net)
     with open(path, "wb") as fh:
-        fh.write(serialize(net))
+        fh.write(data)

@@ -60,10 +60,12 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical text form, always in lowest terms."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical text form, "p" or "p/q" in lowest terms. A part with more
+    digits than str() allows raises DomainError naming its bit length."""
+    try:
+        return str(value)
+    except ValueError:  # sys.get_int_max_str_digits() exceeded
+        raise DomainError(f"{describe_number(value)} has too many digits to print") from None
 
 
 def describe_number(value) -> str:

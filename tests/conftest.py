@@ -1,3 +1,7 @@
+import signal
+import threading
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -10,6 +14,45 @@ from qlower import (
     build_approximator,
     builtin_targets,
 )
+
+
+TEST_TIME_LIMIT = 60  # seconds of wall time per test; the slowest takes a few
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran over its time limit. Not an Exception, so no
+    ``except Exception`` in the code under test can swallow it."""
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeLimitExceeded in the body once it has run for ``seconds``,
+    by SIGALRM; on exit, an enclosing limit is re-armed with what is left
+    of it. Without SIGALRM, or off the main thread, it sets no limit."""
+    if not hasattr(signal, "SIGALRM") or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"ran over its time limit of {seconds} s")
+
+    start = time.monotonic()
+    previous = signal.signal(signal.SIGALRM, expire)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:
+            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-3))
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Every test fails, rather than hangs, once it has run TEST_TIME_LIMIT seconds."""
+    with time_limit(TEST_TIME_LIMIT):
+        yield
 
 
 def mat(rows):

@@ -46,7 +46,7 @@ from qlower import (
 from qlower.approx import NOTE_CERTIFIED, NOTE_USER_M, selector_cap
 from qlower.network import plan_layer
 
-from conftest import forbid_selector_builds
+from conftest import forbid_selector_builds, time_limit
 
 F = Fraction
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -103,6 +103,15 @@ class TestChooseResolution:
     def test_rejections(self, K, beta, eps):
         with pytest.raises(DomainError):
             choose_resolution(K, beta, eps)
+
+    @pytest.mark.parametrize("K, beta", [(10**6, 0.7), (2**40, 1 - F(1, 2**60))])
+    def test_logarithm_path_steps_are_bounded(self, monkeypatch, K, beta):
+        # A holder_sign that never settles would step for about N steps; 64
+        # steps from the binary64 root is a bug, not bad input, and ends.
+        real = qlower.approx.holder_sign
+        monkeypatch.setattr(qlower.approx, "holder_sign", lambda *args: -real(*args))
+        with time_limit(1), pytest.raises(RuntimeError, match="made 64 steps"):
+            choose_resolution(K, beta, 1)
 
 
 class TestGridSpec:
@@ -663,8 +672,8 @@ class TestDerivedNetwork:
         bundle = build_approximator(builtin_target("root", 2), F(1, 10))
         assert bundle.grid.M == 100
         selector = bundle.network._plan[1]
-        assert selector.rows == () and selector.gather is None
         (part, constants), = selector.groups
+        assert selector.gather is None
         assert part == qlower.approx._selector_tail(bundle.grid) and len(part) == 200
         assert list(constants) == list(range(10_201))
 

@@ -438,6 +438,51 @@ class TestEval:
         assert code == 2
 
 
+@pytest.fixture
+def deep_net(tmp_path):
+    """A valid d=1 binary net of 7,200 matrices, 1x2 then 1x1, every entry
+    1/4. At x = 1/2 it gives 3/2^14401: 4,336 digits in the denominator,
+    more than str() prints by default. Its copy with output scale 2
+    differs from it everywhere but at 0."""
+    net = Network(1, (WeightMatrix.from_rows([["1/4", "1/4"]]),)
+                  + (WeightMatrix.from_rows([["1/4"]]),) * 7199, ActivationKind.RELU)
+    save_network(net, tmp_path / "deep.json")
+    save_network(Network(1, net.matrices, net.activation, F(2)), tmp_path / "deep2.json")
+    return tmp_path / "deep.json", tmp_path / "deep2.json"
+
+
+class TestValuesTooLongToPrint:
+    """A value with more digits than str() prints is one JSON error line,
+    exit code 1, naming its bit length; no traceback, no partial file."""
+
+    def assert_refused(self, code, out, err, described):
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "DomainError",
+                                   "message": f"{described} has too many digits to print"}
+
+    def test_eval(self, capsys, deep_net):
+        path, _ = deep_net
+        self.assert_refused(*run(capsys, "eval", "--net", path, "--x", "1/2"),
+                            "3/<14402-bit integer>")
+        code, payload, _ = run_json(capsys, "eval", "--net", path, "--x", "1/2", "--float")
+        assert code == 0 and payload["value"] == 0.0
+
+    def test_rescale_leaves_no_file(self, capsys, deep_net, tmp_path):
+        path, _ = deep_net
+        out = tmp_path / "unit.json"
+        self.assert_refused(*run(capsys, "rescale", "--to", "unit", "--in", path, "--out", out),
+                            "1/<14401-bit integer>")
+        assert not out.exists()
+
+    def test_equiv(self, capsys, deep_net):
+        path, doubled = deep_net
+        code, payload, _ = run_json(capsys, "equiv", "--a", path, "--b", path)
+        assert code == 0 and payload["equivalent"]
+        # the first divergence's exact value, at the first sampled point
+        self.assert_refused(*run(capsys, "equiv", "--a", path, "--b", doubled, "--samples", 3),
+                            "453/<14409-bit integer>")
+
+
 class TestReport:
     def test_writes_deterministic_csv(self, capsys, tmp_path):
         argv = ("report", "--targets", "mean,maxcoord", "--eps-list",

@@ -85,6 +85,28 @@ class TestDecompositions:
             assert all(p in (QUARTER, -QUARTER) for p in parts)
 
 
+class TestValuesTooLongToPrint:
+    """A value with more digits than str() prints is named by its bit
+    length in every refusal, never raised as a raw ValueError."""
+
+    HUGE = Fraction(10**5000)
+
+    @pytest.mark.parametrize("decompose", [decompose_ternary, decompose_binary])
+    def test_decompositions(self, decompose):
+        with pytest.raises(DomainError, match=r"^<16610-bit integer> is not in the \{0"):
+            decompose(self.HUGE)
+
+    @pytest.mark.parametrize("lower", [ternarize, binarize])
+    def test_entry(self, lower):
+        with pytest.raises(DomainError, match=r"entry \(0,0\) is <16610-bit integer>$"):
+            lower(relu_net(1, [[self.HUGE, 0]]))
+
+    @pytest.mark.parametrize("lower", [ternarize, binarize])
+    def test_output_scale(self, lower):
+        with pytest.raises(DomainError, match="got <16610-bit integer>$"):
+            lower(relu_net(1, [[0, HALF]], scale=self.HUGE))
+
+
 class TestTernaryPrefix:
     def test_quadruplicates_the_coordinates(self):
         out = evaluate(ternary_prefix(1), [Fraction(1, 4)])

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qlower import (
     ActivationKind,
     DimensionError,
+    DomainError,
     HolderFunctionSpec,
     Network,
     ParseError,
@@ -40,7 +41,7 @@ from qlower import (
     validate,
 )
 from qlower.network import forward_integers
-from qlower.rationals import format_rational
+from qlower.rationals import describe_number, format_rational
 from conftest import mat, relu_net
 from test_acceptance import CORPUS_SIZE, _lowered, _make_source
 
@@ -93,7 +94,7 @@ def reference_trace(reference, net, x):
 
 def expanded_rows(layer):
     """A plan layer's rows in full, in the order the plan computes them."""
-    return layer.rows + tuple((c, *part) for part, constants in layer.groups for c in constants)
+    return tuple((c, *part) for part, constants in layer.groups for c in constants)
 
 
 def plan_widths(net):
@@ -132,11 +133,11 @@ class TestEvaluationPlan:
             mat([[1, 2, 3]]),
         ), ActivationKind.INDICATOR01)
         assert plan_widths(net) == (3, 3, 1)
-        # (0, 2, 0) and (-1, 2, 0) share their part and follow the row
-        # (0, 0, 2), so the next layer reads the merged units in that order.
-        assert net._plan[0].rows == ((0, 0, 2),)
-        assert net._plan[0].groups == (((2, 0), (0, -1)),)
-        assert net._plan[0].gather == (1, 2, 1, 0, 2)
+        # (0, 2, 0) and (-1, 2, 0) share their part, which appears first,
+        # and the row (0, 0, 2) follows as a part with one constant, so the
+        # next layer reads the merged units in that order.
+        assert net._plan[0].groups == (((2, 0), (0, -1)), ((0, 2), (0,)))
+        assert net._plan[0].gather == (0, 1, 0, 2, 1)
         points = [[Fraction(a, 4), Fraction(b, 4)] for a in range(5) for b in range(5)]
         self.assert_matches_reference(reference, net, points)
 
@@ -153,10 +154,10 @@ class TestEvaluationPlan:
             mat([[1, -1, 3, 2]]),
         ), activation)
         first, second, _ = net._plan
-        assert first.rows == () and first.groups == (((2,), (0, -1)), ((-2,), (2, 1)))
+        assert first.groups == (((2,), (0, -1)), ((-2,), (2, 1)))
         assert first.gather == (0, 0, 1, 2, 3)
-        assert second.rows == ((1, 0, 1, 1),) and second.groups == (((2, 0, 0), (1, 2)),)
-        assert second.gather == (1, 2, 2, 0)
+        assert second.groups == (((2, 0, 0), (1, 2)), ((0, 1, 1), (1,)))
+        assert second.gather == (0, 1, 1, 2)
         points = [[Fraction(k, 8)] for k in range(9)] + [[Fraction(1, 3)], [Fraction(5, 7)]]
         self.assert_matches_reference(reference, net, points)
 
@@ -195,7 +196,8 @@ class TestEvaluationPlan:
         # rows share the tail; so does the plan of the same net rebuilt.
         rebuilt = Network(2, net.matrices, net.activation)
         for plan in (net._plan, rebuilt._plan):
-            assert [(len(layer.rows), len(layer.groups)) for layer in plan] == [(1, 2), (0, 1), (1, 0)]
+            assert [[len(constants) for _, constants in layer.groups] for layer in plan] \
+                == [[1, 4, 4], [25], [1]]
             assert [layer.gather for layer in plan] == [None, None, None]
 
 
@@ -408,6 +410,11 @@ class TestValidate:
         net = relu_net(1, [[0, "1/2"]], scale="1/16")
         assert validate(net, WeightSet.TERNARY_HALF).passed
 
+    def test_offender_too_long_to_print_named_by_bit_length(self):
+        net = relu_net(1, [[0, "1/2"], [Fraction(-1, 10**5000), 0]])
+        report = validate(net, WeightSet.TERNARY_HALF)
+        assert report.offender == (0, 1, 0, "-1/<16610-bit integer>")
+
 
 class TestSparsity:
     def test_worked_example_has_five_nonzeros(self, example_net):
@@ -445,6 +452,18 @@ class TestSerialization:
         path = tmp_path / "net.json"
         save_network(example_net, path)
         assert load_network(path) == example_net
+
+    @pytest.mark.parametrize("net", [
+        relu_net(1, [[10**5000, 1]]),
+        relu_net(1, [[0, 1]], scale=Fraction(1, 10**5000)),
+    ], ids=["entry", "output_scale"])
+    def test_value_too_long_to_print_refused_before_writing(self, tmp_path, net):
+        path = tmp_path / "net.json"
+        with pytest.raises(DomainError, match="<16610-bit integer> has too many digits"):
+            serialize(net)
+        with pytest.raises(DomainError, match="<16610-bit integer> has too many digits"):
+            save_network(net, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("mutate, exc", [
         (lambda p: p.pop("format_version"), ParseError),
@@ -516,9 +535,8 @@ def reference_serialize(net):
 
 def reference_plan(net):
     """(scale, rows, gather) of every layer, computed entry by entry. The
-    distinct rows come in the plan's order: each row whose part (columns
-    1 onward) no other row has, then the rows of each shared part, parts
-    in order of first appearance."""
+    distinct rows come in the plan's order: the rows of each part (columns
+    1 onward), parts in order of first appearance."""
     plan, merged = [], None
     for m in net.matrices:
         scale = math.lcm(*(e.denominator for e in m.entries))
@@ -534,8 +552,7 @@ def reference_plan(net):
         by_part = {}
         for row in index:
             by_part.setdefault(row[1:], []).append(row)
-        order = [rows[0] for rows in by_part.values() if len(rows) == 1]
-        order += [row for rows in by_part.values() if len(rows) > 1 for row in rows]
+        order = [row for rows in by_part.values() for row in rows]
         position = {row: p for p, row in enumerate(order)}
         distinct = list(index)
         gather = tuple(position[distinct[i]] for i in first)
@@ -915,7 +932,7 @@ def plain_offender(net, weight_set):
     for i, m in enumerate(net.matrices):
         for k, e in enumerate(m.entries):
             if members is not None and e not in members:
-                return (i, *divmod(k, m.cols), format_rational(e))
+                return (i, *divmod(k, m.cols), describe_number(e))
     return None
 
 

@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlower import ParseError, as_rational, format_rational, round_binary64
+from qlower import DomainError, ParseError, as_rational, format_rational, round_binary64
 from qlower.rationals import describe_number, lcm_denominators
 
 
@@ -78,6 +79,23 @@ class TestFormatRational:
     @given(st.fractions())
     def test_round_trip(self, q):
         assert as_rational(format_rational(q)) == q
+
+    @pytest.mark.parametrize("value, described", [
+        (Fraction(10**4300), "<14285-bit integer>"),
+        (Fraction(-3, 10**5000), "-3/<16610-bit integer>"),
+        (Fraction(10**5000 + 1, 7), "<16610-bit integer>/7"),
+    ])
+    def test_part_too_long_to_print_is_domain_error(self, value, described):
+        with pytest.raises(DomainError, match=f"^{re.escape(described)} has too many digits"):
+            format_rational(value)
+
+    def test_follows_int_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)  # 0 lifts the limit
+            assert format_rational(Fraction(1, 10**5000)) == f"1/{10**5000}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestDescribeNumber:
