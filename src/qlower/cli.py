@@ -195,13 +195,14 @@ def cmd_equiv(args):
         a, b, n_samples=args.samples, seed=args.seed, tolerance=args.tolerance)
     mode = _mode(args)
     first = report.first_divergence
-    if first is not None and mode == "float":
-        # An output whose two binary64 texts agree prints its exact text on
-        # both sides, so outputs that differ never read alike.
+    if first is not None:
+        # --float rounds each output, except where a's and b's binary64 texts
+        # agree: both print exact, so outputs that differ never read alike.
         rounded = {k: [str(round_binary64(v)) for v in first[k]] for k in ("a", "b")}
-        same = [p == q for p, q in zip(rounded["a"], rounded["b"])]
-        first = {**first, **{k: [e if s else r for e, r, s in zip(first[k], rounded[k], same)]
-                             for k in ("a", "b")}}
+        exact = [mode == "exact" or p == q for p, q in zip(rounded["a"], rounded["b"])]
+        first = {"point": list(map(format_rational, first["point"])), **{
+            k: [format_rational(v) if e else r for v, r, e in zip(first[k], rounded[k], exact)]
+            for k in ("a", "b")}}
     diff = report.max_abs_diff  # a float already, inf beyond binary64 (JSON has none)
     payload = {"command": "equiv", "input_dim": a.input_dim,
                "samples": args.samples, "mode": mode, "equivalent": report.equivalent,

@@ -28,8 +28,7 @@ from .approx import (
 )
 from .errors import DimensionError, DomainError
 from .network import ActivationKind, Network, WeightMatrix, WeightSet, by_id, forward_integers
-from .rationals import (
-    RationalLike, as_rational, describe_number, format_rational, require_count, round_binary64)
+from .rationals import RationalLike, as_rational, describe_number, require_count, round_binary64
 
 HOLDER_CHECK_PAIRS = 10_000
 
@@ -149,6 +148,8 @@ def builtin_target(name: str, d: int) -> HolderFunctionSpec:
     The constants are program constants, decided once by the test suite,
     not spot-checked at run time; each call builds a new spec.
     """
+    if not isinstance(name, str):
+        raise DomainError(f"target name must be a string, got {describe_number(name)}")
     if name not in _BUILTIN:
         raise DomainError(
             f"unknown target {name!r}; available: {', '.join(sorted(_BUILTIN))}")
@@ -256,7 +257,7 @@ def sup_error(
 class EquivalenceReport:
     equivalent: bool
     max_abs_diff: float
-    first_divergence: Optional[dict]
+    first_divergence: Optional[dict[str, list[Fraction]]]
 
 
 def equivalence_check(
@@ -278,7 +279,8 @@ def equivalence_check(
     sample, in sample order, by cross-multiplied integers, as in
     ``sup_error``: no value is built for a sample. ``max_abs_diff`` is the
     largest exact difference rounded once to binary64 (inf beyond its
-    range), and ``first_divergence`` holds exact values as text. Before any
+    range), and ``first_divergence`` holds the first diverging sample's
+    exact ``point`` and outputs ``a`` and ``b``, as Fractions. Before any
     sample is drawn, a seed not an int or a str raises DomainError, and
     more samples than QLOWER_CAP raise CapacityError.
     Sampling cannot prove equivalence, only exhibit a divergence.
@@ -314,11 +316,8 @@ def equivalence_check(
             if n * worst_d > worst_n * nd:
                 worst_n, worst_d = n, nd
             if first is None and n * tol_d > tol_n * nd:
-                first = {
-                    "point": [format_rational(Fraction(k, 256)) for k in ks],
-                    "a": [format_rational(Fraction(p, da)) for p in pa],
-                    "b": [format_rational(Fraction(q, db)) for q in pb],
-                }
+                first = {"point": [Fraction(k, 256) for k in ks],
+                         "a": [Fraction(p, da) for p in pa], "b": [Fraction(q, db) for q in pb]}
     return EquivalenceReport(
         equivalent=first is None,
         max_abs_diff=round_binary64(Fraction(worst_n, worst_d)),

@@ -23,11 +23,12 @@ Hoelder approximator needs before and after lowering.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import chain
+from operator import is_
 
 from .approx import check_cap
 from .errors import DomainError
@@ -245,17 +246,21 @@ def _duplicate_body(
     duplication; each weight w from u to v becomes split(w) spread across
     u's copies, repeated for every copy of v. The final matrix keeps the
     original output units un-duplicated. Each distinct entry object is
-    split once, and its parts are shared by every entry it fills.
+    split once, and its parts are shared by every entry it fills. A row
+    whose entries are the previous row's objects, as in every lowered
+    net, reuses the previous row's output, as ``plan_layer`` does.
     """
     out = []
     last = len(matrices) - 1
     for i, mat in enumerate(matrices):
         dup_out = 1 if i == last else copies
         parts = {k: split(e) for k, e in mat._objects.items()}
-        entries: list[Fraction] = []
+        entries, prev = [], ()
         for r in range(mat.rows):
-            row = tuple(itertools.chain.from_iterable(map(parts.__getitem__, map(id, mat.row(r)))))
-            entries.extend(row * dup_out)
+            row = mat.row(r)
+            if not (prev and all(map(is_, row, prev))):
+                prev, split_row = row, tuple(chain.from_iterable(map(parts.__getitem__, map(id, row))))
+            entries.extend(split_row * dup_out)
         out.append(WeightMatrix(mat.rows * dup_out, mat.cols * copies, tuple(entries)))
     return out
 
@@ -399,8 +404,8 @@ def theorem_bounds(params: TheoremBoundParams) -> TheoremBoundReport:
     The reported error factor is N*2^-m + N^(-beta/d); the multiplicative
     constant depending on (beta, d, K) is not known in closed form and is
     deliberately not included. The formulas run in binary64 (beta and K
-    are converted with float()); parameters that overflow it raise
-    DomainError.
+    are converted with float()); parameters that overflow it, or a beta
+    or K that rounds to 0 in it, raise DomainError.
     """
     try:
         return _theorem_bounds(params)
@@ -415,6 +420,8 @@ def _theorem_bounds(params: TheoremBoundParams) -> TheoremBoundReport:
     for name, value in (("beta", beta), ("K", K)):
         if not isinstance(value, (int, float, Fraction)) or not value > 0:  # nan too
             raise DomainError(f"{name} must be positive, got {describe_number(value)}")
+        if not float(value) > 0:  # below binary64's least subnormal
+            raise DomainError(f"{name} = {describe_number(value)} rounds to 0 in binary64")
     beta, K = float(beta), float(K)
     n_floor = max((beta + 1) ** d, (K + 1) * math.e**d)
     if type(N) is not int or N < n_floor:

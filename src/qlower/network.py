@@ -22,25 +22,25 @@ on every lane by bit masks. The lane width comes from an exact bound on
 every value a lane takes, so no lane carries into its neighbour.
 
 It runs on a row-quotient plan that each network builds once, on first
-use. Units whose rows are identical compute identical values, so every
-layer keeps only its distinct rows, and the next layer sums the columns
-of the units it merged, once per distinct row, before its own rows are
-compared. The lowering passes duplicate every hidden unit, so a lowered
-net shrinks back to about its source's widths. A distinct row is a
-constant, column 0, and a part, the other columns: the plan holds each
-distinct part once, as a group with one constant per row that has it,
-and takes its dot product once per point. Every selector row of an
-approximator is ``(r, tail)``, so ``approx`` derives its entries from the
-grid as they are read, and seeds its plan as one group.
-Outputs are expanded back to one value per unit, as are
+use, in one pass over each matrix's rows. Units whose rows are identical
+compute identical values, so every layer keeps only its distinct rows,
+and the next layer sums the columns of the units it merged as it reads
+each row, before the row is compared. The lowering passes duplicate
+every hidden unit, so a lowered net shrinks back to about its source's
+widths. A distinct row is a constant, column 0, and a part, the other
+columns: the plan holds each distinct part once, as a group with one
+constant per row that has it, and takes its dot product once per point.
+Every selector row of an approximator is ``(r, tail)``, so ``approx``
+derives its entries from the grid as they are read, and seeds its plan
+as one group. Outputs are expanded back to one value per unit, as are
 ``forward_trace``'s layers, so the plan changes no value.
 
 Each matrix finds its distinct entry objects once (``by_id``), on first
 use, and keeps them. The plan, ``validate``, the nonzero count,
 ``scaled_by``, the writer and the lowering's unit duplication read them,
 so they work once per distinct entry object, not once per entry, and
-equal entries that share one object share one integer in the plan. The
-plan keys a row that repeats the previous row's objects once.
+equal entries that share one object share one integer in the plan. Both
+the plan and the lowering read a repeat of the previous row's objects once.
 
 Every result is exact; a caller that wants binary64 rounds it once, with
 ``rationals.round_binary64``.
@@ -212,8 +212,7 @@ class Network:
     @cached_property
     def _plan(self) -> tuple[LayerPlan, ...]:
         """The row-quotient plan that exact evaluation runs on."""
-        plan: list[LayerPlan] = []
-        merged = None
+        plan, merged = [], None
         for mat in self.matrices:
             plan.append(plan_layer(mat, merged))
             merged = plan[-1].gather
@@ -228,9 +227,10 @@ class LayerPlan(NamedTuple):
     distinct rows is a constant, column 0, and a part, the other columns.
     ``groups`` holds each distinct part once, in the order it first
     appears, as ``(part, constants)``: the rows ``(c, *part)`` for c in
-    constants. The plan computes each group's rows in order;
-    ``gather[u]`` is the index of unit u's value in that order, and
-    ``gather`` is None when that order is the units' own.
+    constants, in the order each first appears with that part. The plan
+    computes each group's rows in order; ``gather[u]`` is the index of unit
+    u's value in that order, and ``gather`` is None when that order is the
+    units' own.
     """
 
     scale: int
@@ -247,56 +247,40 @@ def by_id(values: Sequence) -> dict[int, object]:
 
 def plan_layer(mat: WeightMatrix, merged: tuple[int, ...] | None) -> LayerPlan:
     """Plan one matrix whose input units map to distinct values by ``merged``
-    (None when the input units are all distinct). Merged columns are
-    summed once per distinct row of the matrix. A row is keyed by its
-    constant and its part, one object per distinct part, so rows that
-    share a part are never held in full. A row whose entries are the
-    previous row's objects reuses that row's key: the lowering writes
-    each row 2, 4 or 8 times in a row, and the reader shares repeats.
-    Rows are compared by identity, so no ``Fraction.__eq__`` runs."""
+    (None when the input units are all distinct), in one pass over its rows.
+    Each row is read in integers, its merged columns summed, and filed under
+    its part, its constant placed in that group on first appearance, so
+    rows that share a part are never held in full. A row of the previous
+    row's objects reuses that row's unit: the lowering writes each row 2, 4
+    or 8 times in a row, and the reader shares repeats. Rows are compared
+    by identity, so no ``Fraction.__eq__`` runs."""
     objects = mat._objects
     scale = lcm_denominators(objects.values())
     scaled = {k: e.numerator * (scale // e.denominator) for k, e in objects.items()}
-    parts: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def key(constant: int, part: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        return constant, parts.setdefault(part, part)
-
-    entries, cols = mat.entries, mat.cols
-    raw: dict[tuple[int, tuple[int, ...]], int] = {}
-    raw_gather, prev = [], ()
+    width = None if merged is None else max(merged) + 1
+    groups: dict[tuple[int, ...], dict[int, int]] = {}  # part -> {constant: place in group}
+    units: list[tuple[dict[int, int], int]] = []  # (group, place) of each row
+    entries, cols, prev = mat.entries, mat.cols, ()
     for i in range(0, len(entries), cols):
         row = entries[i:i + cols]
         if not (prev and all(map(is_, row, prev))):
-            prev, j = row, raw.setdefault(
-                key(scaled[id(row[0])], tuple(map(scaled.__getitem__, map(id, row[1:])))), len(raw))
-        raw_gather.append(j)
-    if merged is None:
-        index, of_raw = raw, range(len(raw))
-    else:
-        width = max(merged) + 1
-
-        def sum_merged_columns(raw_key):
-            out = [0] * width
-            for j, w in zip(merged, (raw_key[0], *raw_key[1])):
-                out[j] += w
-            return key(out[0], tuple(out[1:]))
-
-        index = {}
-        of_raw = [index.setdefault(k, len(index)) for k in map(sum_merged_columns, raw)]
-    keys = list(index)
-    members: dict[int, list[int]] = {}  # id(part) -> indices into keys
-    for i, (_, part) in enumerate(keys):
-        members.setdefault(id(part), []).append(i)
-    place = [0] * len(keys)
-    for p, i in enumerate(i for m in members.values() for i in m):
-        place[i] = p
-    gather = tuple(place[of_raw[g]] for g in raw_gather)
-    return LayerPlan(
-        scale,
-        tuple((keys[m[0]][1], tuple(keys[i][0] for i in m)) for m in members.values()),
-        None if gather == tuple(range(mat.rows)) else gather,
-    )
+            prev = row
+            if merged is None:
+                constant, part = scaled[id(row[0])], tuple(map(scaled.__getitem__, map(id, row[1:])))
+            else:
+                summed = [0] * width
+                for j, k in zip(merged, map(id, row)):
+                    summed[j] += scaled[k]
+                constant, part = summed[0], tuple(summed[1:])
+            group = groups.setdefault(part, {})
+            unit = group, group.setdefault(constant, len(group))
+        units.append(unit)
+    start, offset = {}, 0
+    for group in groups.values():
+        start[id(group)], offset = offset, offset + len(group)
+    gather = tuple(start[id(group)] + place for group, place in units)
+    return LayerPlan(scale, tuple((part, tuple(group)) for part, group in groups.items()),
+                     None if gather == tuple(range(mat.rows)) else gather)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 import qlower.approx
 from qlower import (
@@ -17,6 +18,12 @@ from qlower import (
 
 
 TEST_TIME_LIMIT = 60  # seconds of wall time per test; the slowest takes a few
+
+# Each hypothesis test draws its examples from a seed derived from its own
+# code, so every run on one Python and hypothesis version draws the same
+# ones; a test's own @settings keep its max_examples and deadline.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 class TimeLimitExceeded(BaseException):

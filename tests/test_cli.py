@@ -96,6 +96,16 @@ class TestBounds:
         assert code == 1 and "Traceback" not in err and err.count("\n") == 1
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("name, beta, K", [("beta", "1e-400", 1), ("K", 1, "1e-400")])
+    def test_underflow_is_validation_error(self, capsys, name, beta, K):
+        # positive, but 0 in binary64: log2(K) would fail, and beta = 0 pass
+        code, out, err = run(capsys, "bounds", "--d", 1, "--beta", beta, "--K", K,
+                             "--N", 30, "--m", 1)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "DomainError"
+        assert error["message"] == f"{name} = 1/1{'0' * 400} rounds to 0 in binary64"
+
 
 class TestApprox:
     def test_build_and_implicit_eval(self, capsys, tmp_path):
@@ -481,6 +491,18 @@ class TestValuesTooLongToPrint:
         # the first divergence's exact value, at the first sampled point
         self.assert_refused(*run(capsys, "equiv", "--a", path, "--b", doubled, "--samples", 3),
                             "453/<14409-bit integer>")
+
+    def test_equiv_float_prints_outputs_that_round_apart(self, capsys, deep_net, tmp_path):
+        path, _ = deep_net
+        one = tmp_path / "one.json"
+        save_network(Network(1, (WeightMatrix.from_rows([[1, 0]]),), ActivationKind.RELU), one)
+        code, out, err = run(capsys, "equiv", "--a", path, "--b", one, "--samples", 3)
+        assert code == 1 and out == "" and "too many digits to print" in err
+        code, payload, _ = run_json(capsys, "equiv", "--a", path, "--b", one, "--samples", 3,
+                                    "--float")
+        first = payload["first_divergence"]
+        assert code == 1 and not payload["equivalent"]
+        assert (first["a"], first["b"]) == (["0.0"], ["1.0"])
 
 
 class TestReport:

@@ -153,6 +153,16 @@ class TestBuiltinTargets:
         with pytest.raises(DomainError, match="available: const, maxcoord, mean, root"):
             builtin_target("nope", 1)
 
+    @pytest.mark.parametrize("name, shown", [([1], "[1]"), ({}, "{}"), (None, "None"),
+                                             (10**5000, "<16610-bit integer>")],
+                             ids=["list", "dict", "None", "huge"])
+    def test_name_that_is_not_a_string_refused(self, name, shown):
+        message = f"target name must be a string, got {re.escape(shown)}$"
+        with pytest.raises(DomainError, match=message):
+            builtin_target(name, 1)
+        with pytest.raises(DomainError, match=message):
+            report_rows([1], [F(1, 2)], target_names=[name])
+
 
 class TestBuiltinClaims:
     """The built-in targets' claimed (beta, K) are program constants, so
@@ -871,6 +881,21 @@ class TestEquivalenceCheck:
         assert fwd.first_divergence is not None
         assert fwd.first_divergence["point"] == rev.first_divergence["point"]
 
+    def test_divergence_too_long_to_print_is_reported(self):
+        # 7,200 matrices of 1/4 against their copy with output scale 2: the
+        # outputs' denominators have more digits than str() prints, and the
+        # report holds them exactly.
+        net = Network(1, (WeightMatrix.from_rows([["1/4", "1/4"]]),)
+                      + (WeightMatrix.from_rows([["1/4"]]),) * 7199, ActivationKind.RELU)
+        report = equivalence_check(net, Network(1, net.matrices, net.activation, F(2)),
+                                   n_samples=3)
+        assert not report.equivalent and report.max_abs_diff == 0.0
+        first = report.first_divergence
+        (a,), (b,) = first["a"], first["b"]
+        assert a == evaluate(net, first["point"]) > 0 and b == 2 * a
+        with pytest.raises(DomainError, match="too many digits to print"):
+            format_rational(a)
+
     def test_one_sample_is_accepted(self):
         net = random_network(random.Random(6), 2, 2, 4)
         assert equivalence_check(net, net, n_samples=1) == EquivalenceReport(True, 0.0, None)
@@ -954,9 +979,7 @@ def plain_equivalence(a, b, n_samples, seed, tolerance):
         diff = max(abs(p - q) for p, q in zip(va, vb))
         worst = max(worst, diff)
         if first is None and diff > tolerance:
-            first = {"point": [format_rational(v) for v in x],
-                     "a": [format_rational(v) for v in va],
-                     "b": [format_rational(v) for v in vb]}
+            first = {"point": list(x), "a": list(va), "b": list(vb)}
     return EquivalenceReport(first is None, round_binary64(worst), first), worst
 
 

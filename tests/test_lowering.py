@@ -423,6 +423,12 @@ class TestTheoremBounds:
         report = theorem_bounds(TheoremBoundParams(m=2, N=20, beta=1.0, d=2, K=1.0))
         assert report.lowered_binary[1] == 32 * report.p_inf
 
+    @pytest.mark.parametrize("beta, K", [(Fraction(1, 10**400), 1.0), (1.0, Fraction(1, 10**400))],
+                             ids=["beta", "K"])
+    def test_rejects_values_that_round_to_zero(self, beta, K):
+        with pytest.raises(DomainError, match="rounds to 0 in binary64"):
+            theorem_bounds(TheoremBoundParams(m=1, N=30, beta=beta, d=1, K=K))
+
     @pytest.mark.parametrize("d, N", [(1, 5), (2, 14)])
     def test_rejects_resolution_below_precondition(self, d, N):
         with pytest.raises(DomainError) as err:

@@ -965,3 +965,10 @@ class TestDistinctObjectChecks:
         scaled = m.scaled_by(Factor(2))
         assert scaled.entries == (1, 0, 1, 1, 0, 1)
         assert len(products) == 3  # half, zero, and the unshared 1/2
+
+
+def test_hypothesis_draws_the_same_examples_on_every_run():
+    # tests/conftest.py loads a derandomized profile, which a test's own
+    # @settings inherit: no run draws examples of its own.
+    assert settings.default.derandomize and settings.default.database is None
+    assert settings(max_examples=60, deadline=None).derandomize
