@@ -112,8 +112,7 @@ class GridSpec:
 
 
 _EXACT_BITS = 1 << 16  # largest integer power that the exact comparisons expand
-_SEED_BITS = 50  # largest log2 resolution choose_resolution seeds from a binary64 root
-_MAX_STEPS = 64  # choose_resolution's steps from that root; binary64 is a few steps off
+_MAX_BITS = 51  # choose_resolution refuses a resolution above 2^_MAX_BITS off its integer path
 
 
 def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike) -> int:
@@ -125,8 +124,9 @@ def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike
     Exact for every rational beta = p/r: the result is the least N >= 1
     with N^p >= (K/eps)^r, found in integers while (K/eps)^r has at most
     _EXACT_BITS bits. Else (the 2^52 denominator of a binary64 beta) it
-    steps from the binary64 root by holder_sign (over _MAX_STEPS steps is a
-    bug: RuntimeError), and a resolution above 2^_SEED_BITS raises DomainError.
+    bisects by holder_sign between ceil(K/eps), as beta <= 1, and
+    2^ceil(e/beta), where K/eps < 2^e, in at most _MAX_BITS + 1 steps; a
+    least N above 2^_MAX_BITS raises DomainError.
     """
     K_, beta_, eps_ = map(as_rational, (K, beta, epsilon))
     if K_ <= 0 or eps_ <= 0:
@@ -142,28 +142,23 @@ def choose_resolution(K: RationalLike, beta: RationalLike, epsilon: RationalLike
     if r * a.bit_length() <= _EXACT_BITS:
         # N^p is an integer, so N^p >= (K/eps)^r exactly when N^p >= ceil((K/eps)^r).
         return _ceil_root(-(-(a ** r) // b ** r), p)
-    # Seed from the binary64 root. N >= K/eps as beta <= 1, so capping q
-    # keeps float(q) finite and every q >= 2^(_SEED_BITS+1) above the limit.
-    # A beta that rounds to 0.0 puts N beyond any limit.
-    beta_f = float(beta_)
-    log2_n = math.log2(min(q, 2 << _SEED_BITS)) / beta_f if beta_f else math.inf
-    if log2_n > _SEED_BITS:
+    # N = ceil(q) - 1 < q fails, and N = 2^ceil(e*r/p) passes, as q < 2^e;
+    # a bound above the limit is capped to 2^_MAX_BITS + 1, assumed to pass.
+    log2_hi = -(-(a.bit_length() - b.bit_length() + 1) * r // p)
+    lo = -(-a // b) - 1
+    hi = 1 << log2_hi if log2_hi <= _MAX_BITS else (1 << _MAX_BITS) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holder_sign(eps_, K_, Fraction(1, mid), beta_) >= 0:
+            hi = mid
+        else:
+            lo = mid
+    if hi > 1 << _MAX_BITS:
         raise DomainError(
             f"resolution too large to compute exactly: (K/eps)^(1/beta) is above "
-            f"2^{_SEED_BITS} and (K/eps)^r has over {_EXACT_BITS} bits for "
-            f"beta = p/r {f'= {beta_f}' if beta_f else 'below 2^-1074'}")
-    n = math.ceil(2.0 ** log2_n)  # the binary64 root, off by at most a few
-    n = _first(range(n, n + _MAX_STEPS + 1),
-               lambda m: holder_sign(eps_, K_, Fraction(1, m), beta_) >= 0)
-    return _first(range(n, n - _MAX_STEPS - 1, -1),
-                  lambda m: m == 1 or holder_sign(eps_, K_, Fraction(1, m - 1), beta_) < 0)
-
-
-def _first(steps: range, found: Callable[[int], bool]) -> int:
-    """The first n of steps with found(n), else RuntimeError."""
-    for n in filter(found, steps):
-        return n
-    raise RuntimeError(f"choose_resolution made {_MAX_STEPS} steps from {steps.start}")
+            f"2^{_MAX_BITS} and (K/eps)^r has over {_EXACT_BITS} bits for "
+            f"beta = {describe_number(beta_)}")
+    return hi
 
 
 def _ceil_root(c: int, p: int) -> int:

@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="second network")
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=_int_arg, default=0)
-    p.add_argument("--tolerance", type=float, default=0.0)
+    p.add_argument("--tolerance", type=_rational_arg, default=0)
     _add_mode_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_equiv)

@@ -70,16 +70,9 @@ def _root(x: Sequence) -> float:
 
 
 def _dyadic_indices(rng: random.Random, n: int) -> list[int]:
-    """n draws of i in 0..256, the numerators of the sampled points i/256.
-    Each is drawn as rng.randrange(257) draws it on Python 3.10 to 3.13,
-    from 9 bits of getrandbits, again while above 256, so seeded samples
-    are unchanged, without randrange's cost per call."""
-    bits, out = rng.getrandbits, []
-    for _ in range(n):
-        while (i := bits(9)) > 256:
-            pass
-        out.append(i)
-    return out
+    """n draws of i in 0..256, the numerators of the sampled points i/256;
+    one function, so that a test can substitute the draws."""
+    return [rng.randrange(257) for _ in range(n)]
 
 
 def _require_seed(seed) -> None:

@@ -136,8 +136,14 @@ class WeightMatrix:
     @cached_property
     def _objects(self) -> dict[int, Fraction]:
         """``by_id(self.entries)``, found once, on first use. Its keys are
-        ids, valid only while these entries live: pickling leaves it out."""
-        return by_id(self.entries)
+        ids, valid only while these entries live: pickling leaves it out.
+        An entry that is not a Fraction or an int (a bool is not) raises
+        ParseError, so every reader of the entries refuses it."""
+        objects = by_id(self.entries)
+        if not set(map(type, objects.values())) <= {Fraction, int}:
+            bad = next(e for e in objects.values() if type(e) not in (Fraction, int))
+            raise ParseError(f"entry must be a Fraction or an int, got {bad!r}")
+        return objects
 
     def __getstate__(self) -> dict:
         state = dict(vars(self))

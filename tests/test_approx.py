@@ -23,6 +23,7 @@ from qlower import (
     HolderFunctionSpec,
     Network,
     ParseError,
+    QlowerError,
     WeightMatrix,
     WeightSet,
     build_approximator,
@@ -77,8 +78,7 @@ class TestChooseResolution:
         (4, "0.4" + "9" * 60, 1, 17),        # 16^beta just below 4
         # (K/eps)^r of exactly _EXACT_BITS bits is still expanded
         pytest.param(2**65535, 1, 1, 2**65535, id="exact-bits"),
-        # on the logarithm path, log2 of the root is exactly _SEED_BITS: still
-        # seeded, and 2^50 + 1 is the least N with N^beta >= 2^50
+        # off the integer path, 2^50 + 1 is the least N with N^beta >= 2^50
         pytest.param(2**50, 1 - F(1, 2**60), 1, 2**50 + 1, id="seed-bits"),
     ])
     def test_values(self, K, beta, eps, expected):
@@ -97,7 +97,7 @@ class TestChooseResolution:
         (0, 1, 1), (-1, 1, 1), (1, 0, 1), (1, 2, 1), (1, 1, 0), (1, 1, -1),
         (2, 0.01, 1),  # 2^100, with a denominator too large for exact powers
         (1, "1e-400", "1/2"),  # beta rounds to 0.0 in binary64
-        # one bit over _EXACT_BITS, and above 2^_SEED_BITS
+        # one bit over _EXACT_BITS, and above 2^_MAX_BITS
         pytest.param(2**65536, 1, 1, id="over-exact-bits"),
     ])
     def test_rejections(self, K, beta, eps):
@@ -106,12 +106,82 @@ class TestChooseResolution:
 
     @pytest.mark.parametrize("K, beta", [(10**6, 0.7), (2**40, 1 - F(1, 2**60))])
     def test_logarithm_path_steps_are_bounded(self, monkeypatch, K, beta):
-        # A holder_sign that never settles would step for about N steps; 64
-        # steps from the binary64 root is a bug, not bad input, and ends.
+        # Off the integer path the search is a bisection of at most
+        # _MAX_BITS + 1 holder_sign calls, whatever holder_sign returns: a
+        # wrong sign gives a wrong N or a DomainError, never a long search.
         real = qlower.approx.holder_sign
-        monkeypatch.setattr(qlower.approx, "holder_sign", lambda *args: -real(*args))
-        with time_limit(1), pytest.raises(RuntimeError, match="made 64 steps"):
-            choose_resolution(K, beta, 1)
+        for fake in (lambda *args: -real(*args), lambda *args: -1, lambda *args: 1):
+            calls = []
+            monkeypatch.setattr(qlower.approx, "holder_sign",
+                                lambda *args, fake=fake: calls.append(args) or fake(*args))
+            with time_limit(1):
+                try:
+                    choose_resolution(K, beta, 1)
+                except DomainError:
+                    pass
+            assert 0 < len(calls) <= qlower.approx._MAX_BITS + 1
+
+    BETA_NEAR_1 = 1 - F(1, 2**60)  # denominator 2^60: off the integer path for K >= 2^1093
+
+    @pytest.mark.parametrize("K, expected", [
+        (3 * 2**49, 3 * 2**49 + 1),
+        (2**51 - F(1, 10), 2**51),  # the largest resolution returned
+        (2**51, None),  # its least N is 2^51 + 1
+        (2**51 + 1, None),
+        (10**5000, None),
+    ], ids=["3*2^49", "2^51-1/10", "2^51", "2^51+1", "10^5000"])
+    def test_limit_is_decided_exactly(self, K, expected):
+        if expected is None:
+            with pytest.raises(DomainError, match=r"above 2\^51 .* beta = 1152921504606846975/"):
+                choose_resolution(K, self.BETA_NEAR_1, 1)
+        else:
+            assert choose_resolution(K, self.BETA_NEAR_1, 1) == expected
+
+    def test_result_is_the_least_certifying_resolution(self):
+        # N passes holder_sign's test K*(1/N)^beta <= eps and N - 1 fails it,
+        # on both paths: binary64 betas (denominator 2^52) bisect.
+        rng = random.Random(2026)
+        for _ in range(60):
+            beta = as_rational(rng.uniform(0.01, 1)) if rng.random() < 0.5 else \
+                F(rng.randint(1, 9), rng.randint(9, 12))
+            K = as_rational(rng.random()) * 10 ** rng.randint(-3, 6)
+            eps = as_rational(rng.uniform(0.001, 1))
+            try:
+                n = choose_resolution(K, beta, eps)
+            except DomainError:
+                continue
+            assert qlower.approx.holder_sign(eps, K, F(1, n), beta) >= 0
+            assert n == 1 or qlower.approx.holder_sign(eps, K, F(1, n - 1), beta) < 0
+
+
+# huge, non-finite, non-numeric, zero, negative and tiny values, the smallest subnormal among them
+HOSTILE_NUMBERS = {
+    "1e5000": 10**5000, "-1e5000": -10**5000, "nan": math.nan, "inf": math.inf,
+    "-inf": -math.inf, "None": None, "True": True, "junk": "junk",
+    "5000-digit": F(10**4999 + 7, 3), "0": 0, "-1": -1, "0.5": 0.5,
+    "5e-324": 5e-324, "1/1e5000": F(1, 10**5000),
+}
+RESOLUTION_CALLS = {
+    "choose_resolution-K": lambda v: choose_resolution(v, F(1, 2), F(1, 10)),
+    "choose_resolution-beta": lambda v: choose_resolution(1, v, F(1, 10)),
+    "choose_resolution-epsilon": lambda v: choose_resolution(1, F(1, 2), v),
+    "spec-beta": lambda v: build_approximator(HolderFunctionSpec(asymmetric, 1, v, 1, 1), F(1, 10)),
+    "spec-K": lambda v: build_approximator(HolderFunctionSpec(asymmetric, 1, 1, v, 1), F(1, 10)),
+    "spec-F": lambda v: build_approximator(HolderFunctionSpec(asymmetric, 1, 1, 1, v), F(1, 10)),
+    "build_approximator-epsilon": lambda v: build_approximator(
+        HolderFunctionSpec(asymmetric, 1, 1, 1, 1), v),
+}
+
+
+@pytest.mark.parametrize("value", HOSTILE_NUMBERS)
+@pytest.mark.parametrize("call", RESOLUTION_CALLS)
+def test_hostile_resolution_inputs_fail_fast(call, value):
+    """Each call returns, or raises a QlowerError, within 2 s."""
+    with time_limit(2):
+        try:
+            RESOLUTION_CALLS[call](HOSTILE_NUMBERS[value])
+        except QlowerError:
+            pass
 
 
 class TestGridSpec:

@@ -362,18 +362,34 @@ class TestLowerRescaleEquiv:
         assert a_text != b_text and "inf" not in a_text + b_text
         assert texts["--float"] == texts["--exact"]
 
-    def test_nan_tolerance_is_validation_error(self, capsys, tmp_path):
+    def test_tolerance_that_is_negative_or_not_rational_refused(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_network(random_network(random.Random(1), 2, 2, 4), a)
         save_network(random_network(random.Random(2), 2, 2, 4), b)
         code, out, err = run(capsys, "equiv", "--a", a, "--b", b)
         assert code == 1 and not json.loads(out)["equivalent"]
-        for tolerance in ("nan", "inf", "-1"):
+        code, out, err = run(capsys, "equiv", "--a", a, "--b", b, "--tolerance", "-1")
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "DomainError" and "tolerance" in error["message"]
+        for tolerance in ("nan", "inf"):  # not rational: a usage error, as for --eps
             code, out, err = run(capsys, "equiv", "--a", a, "--b", b,
                                  "--tolerance", tolerance)
-            assert code == 1 and out == ""
-            error = json.loads(err)
-            assert error["error"] == "DomainError" and "tolerance" in error["message"]
+            assert code == 2 and out == ""
+            assert f"argument --tolerance: not a rational value: '{tolerance}'" in err
+
+    def test_tolerance_is_exact(self, capsys, tmp_path):
+        # The nets differ by the binary64 nearest 1/10, which is above 1/10:
+        # --tolerance 0.1 means 1/10 exactly, so it refuses that difference.
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_network(line_net(0, 0), a)
+        save_network(line_net(F(0.1), 0), b)
+        for tolerance, equivalent in (("0.1", False), ("1/3", True),
+                                      (str(F(0.1)), True)):
+            code, out, _ = run(capsys, "equiv", "--a", a, "--b", b, "--samples", 5,
+                               "--tolerance", tolerance)
+            assert json.loads(out)["equivalent"] is equivalent
+            assert code == (0 if equivalent else 1)
 
 
 class TestEval:

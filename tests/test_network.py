@@ -312,6 +312,26 @@ class TestShapes:
         with pytest.raises(DimensionError):
             evaluate(example_net, [Fraction(1, 2), Fraction(1, 2)])
 
+    @pytest.mark.parametrize("entry", [0.5, 1.0, "1/2", None, True])
+    def test_entry_that_is_not_a_rational_refused(self, tmp_path, entry):
+        # The constructor leaves the entries as given; every reader refuses
+        # them with ParseError, rather than computing with them or writing
+        # a file that load_network refuses.
+        def net():
+            return Network(1, (WeightMatrix(1, 2, (entry, 1)),), ActivationKind.RELU)
+
+        message = f"entry must be a Fraction or an int, got {entry!r}"
+        for read in (lambda n: evaluate(n, [Fraction(1, 2)]), serialize,
+                     lambda n: validate(n, WeightSet.BASE_A),
+                     lambda n: n.matrices[0].scaled_by(2)):
+            with pytest.raises(ParseError) as err:
+                read(net())
+            assert str(err.value) == message
+        path = tmp_path / "net.json"
+        with pytest.raises(ParseError):
+            save_network(net(), path)
+        assert not path.exists()
+
 
 class TestActivations:
     @pytest.mark.parametrize("kind, pre, expected", [

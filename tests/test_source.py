@@ -40,7 +40,7 @@ def test_no_private_name_imported_from_another_module(path):
 
 # The functions that decide a Hoelder inequality, and the module of each.
 EXACT_DECISIONS = {"holder_sign": "approx.py", "check_holder": "harness.py",
-                   "certified": "approx.py"}
+                   "certified": "approx.py", "choose_resolution": "approx.py"}
 
 
 @pytest.mark.parametrize("name", EXACT_DECISIONS)
