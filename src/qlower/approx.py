@@ -84,22 +84,18 @@ class GridSpec:
         """Cell digit min(M, floor(v(M+1))) of v in [0, 1], in integers."""
         return min(self.M, v.numerator * (self.M + 1) // v.denominator)
 
-    def cell_coords(self, k: int) -> tuple[int, ...]:
-        """Digits (m_1, ..., m_d) of cell k in base M+1, axis 1 first."""
+    def representative(self, k: int) -> tuple[Fraction, ...]:
+        """Smallest corner of cell k, coordinates m_i/(M+1) for k's digits m_i in base M+1,
+        axis 1 first. A k that is not an int in [0, cell_count) raises DomainError."""
         require_count("cell index", k, least=0)
         if k >= self.cell_count:
             raise DomainError(
                 f"cell index {describe_number(k)} out of range [0, {describe_number(self.cell_count)})")
-        base = self.M + 1
         out = []
         for _ in range(self.d):
-            k, m = divmod(k, base)
-            out.append(m)
+            k, m = divmod(k, self.M + 1)
+            out.append(Fraction(m, self.M + 1))
         return tuple(out)
-
-    def representative(self, k: int) -> tuple[Fraction, ...]:
-        """Smallest corner of cell k, coordinates m_i/(M+1)."""
-        return tuple(Fraction(m, self.M + 1) for m in self.cell_coords(k))
 
     def representatives(self) -> Iterator[tuple[int, tuple[Fraction, ...]]]:
         """Every (k, representative(k)) in index order, axis 1 varying fastest.
@@ -232,40 +228,42 @@ def cell_index(x: Sequence[RationalLike], grid: GridSpec) -> int:
     return k
 
 
+def _threshold_row(grid: GridSpec, r: int) -> tuple[Fraction, ...]:
+    """Row r of the threshold matrix: all zero for r = 0 (the constant-1
+    code bit after the indicator), then x_i - j/(M+1) for r = (i-1)M + j."""
+    row = [ZERO] * (grid.d + 1)
+    if r:
+        i, j = divmod(r - 1, grid.M)
+        row[0], row[i + 1] = Fraction(-j - 1, grid.M + 1), ONE
+    return tuple(row)
+
+
 def build_threshold_matrix(grid: GridSpec) -> WeightMatrix:
-    """First-layer matrix: one all-zero row (the constant-1 code bit after
-    the indicator), then per axis i and threshold j the row computing
-    x_i - j/(M+1)."""
-    d, M = grid.d, grid.M
-    base = M + 1
-    rows = [[ZERO] * (d + 1)]
-    for i in range(1, d + 1):
-        for j in range(1, M + 1):
-            row = [ZERO] * (d + 1)
-            row[0] = Fraction(-j, base)
-            row[i] = ONE
-            rows.append(row)
-    return WeightMatrix.from_rows(rows)
+    """First-layer matrix, rows ``_threshold_row`` r = 0..dM. More than QLOWER_CAP
+    entries, (dM+1)(d+1), raise CapacityError before any row is built."""
+    rows = grid.d * grid.M + 1
+    check_cap("threshold matrix", "entries", "choose a coarser grid", rows * (grid.d + 1))
+    return WeightMatrix.from_rows([_threshold_row(grid, r) for r in range(rows)])
 
 
-def check_cap(what: str, unit: str, remedy: str, base: int, exp: int = 1) -> None:
-    """Raise CapacityError when `what` needs base**exp `unit`s, more than the cap.
+def check_cap(what: str, unit: str, remedy: str, base: int, exp: int = 1, factor: int = 1) -> None:
+    """Raise CapacityError when `what` needs factor*base**exp `unit`s, more than the cap.
 
-    base**exp >= 2^n for n = exp*floor(log2 base). When 2^n already has
-    more decimal digits than sys.get_int_max_str_digits() allows, the
-    size is refused as "at least 2^n" without computing base**exp, which
-    takes seconds for a hostile exponent (3^(10^7) cells). A computed
+    That size is >= 2^n for n = exp*floor(log2 base) + floor(log2 factor).
+    When 2^n already has more decimal digits than sys.get_int_max_str_digits()
+    allows, the size is refused as "at least 2^n" without computing base**exp,
+    which takes seconds for a hostile exponent (3^(10^7) cells). A computed
     size too long to print is reported by its bit length the same way.
     """
     cap = selector_cap()
-    if exp * base.bit_length() < cap.bit_length():
-        return  # base**exp < 2^(exp*bits) <= cap, decided without 10**limit
+    if exp * base.bit_length() + factor.bit_length() < cap.bit_length():
+        return  # size < 2^(exp*bits + factor bits) <= cap, decided without 10**limit
     limit = sys.get_int_max_str_digits()
-    n = exp * (base.bit_length() - 1)
+    n = exp * (base.bit_length() - 1) + factor.bit_length() - 1
     if limit and n >= (10**limit).bit_length():
         size = f"at least 2^{describe_number(n)}"
     else:
-        size = base**exp
+        size = factor * base**exp
         if size <= cap:
             return
         if limit and size >= 10**limit:
@@ -338,12 +336,13 @@ def build_selector_matrix(grid: GridSpec) -> WeightMatrix:
     column of axis i's threshold block, so the indicator of the result
     is one-hot at the input's cell index. All entries are integers of
     magnitude below (M+1)^d. ``entries`` derives them from the grid; the
-    cap still bounds their count, which the writer and ``validate`` walk.
+    cap still bounds their count, which the writer and ``validate`` walk;
+    it is checked before (M+1)^d is computed.
     """
-    cells = grid.cell_count
     width = grid.d * grid.M + 1
-    check_cap("selector matrix", "entries", "evaluate implicitly instead", cells * width)
-    return WeightMatrix(cells, width, _SelectorEntries(grid))
+    check_cap("selector matrix", "entries", "evaluate implicitly instead",
+              grid.M + 1, grid.d, width)
+    return WeightMatrix(grid.cell_count, width, _SelectorEntries(grid))
 
 
 def bundle_stats(bundle: ApproximatorBundle) -> dict:
@@ -419,11 +418,14 @@ def build_readout(f, grid: GridSpec) -> tuple[Fraction, ...]:
     DimensionError) or a bare callable. Each value is read by read_target,
     whose DomainError names the cell and its representative. Each distinct
     float value becomes one Fraction, shared by every cell that has it.
+    More than QLOWER_CAP cells raise CapacityError before the target is
+    read anywhere.
     """
     if isinstance(f, HolderFunctionSpec):
         if f.d != grid.d:
             raise DimensionError(f"target is on [0,1]^{f.d}, the grid on [0,1]^{grid.d}")
         f = f.evaluator
+    check_cap("readout", "cells", "choose a coarser accuracy", grid.M + 1, grid.d)
     exact: dict[float, Fraction] = {}  # 0.0 and -0.0 are one key, both 0
     values = []
     for k, point in grid.representatives():
@@ -513,8 +515,8 @@ def build_approximator(
     The resolution is chosen so that K/(M+1)^beta <= epsilon, which
     certifies the sup-norm error whenever the target really satisfies
     its claimed Hoelder inequality. An explicit M_override skips the
-    choice and is recorded in the certificate note. A grid over the cap
-    raises CapacityError before the target is evaluated anywhere. An
+    choice and is recorded in the certificate note. build_readout refuses
+    a grid over the cap with CapacityError before it reads the target. An
     epsilon that rounds to 0 or infinity in binary64 raises DomainError.
     """
     eps = as_rational(epsilon)
@@ -525,10 +527,10 @@ def build_approximator(
         grid, note = GridSpec(f.d, choose_resolution(f.K, f.beta, eps)), NOTE_CERTIFIED
     else:
         grid, note = GridSpec(f.d, M_override), NOTE_USER_M
-    check_cap("readout", "cells", "choose a coarser accuracy", grid.M + 1, grid.d)
+    readout = build_readout(f, grid)  # first: it checks the cell count, selector_fits computes it
     if not selector_fits(grid):
         note += "; selector left implicit (over the materialization cap)"
-    return ApproximatorBundle(grid, eps, build_readout(f, grid), f, note)
+    return ApproximatorBundle(grid, eps, readout, f, note)
 
 
 def evaluate_implicit(bundle: ApproximatorBundle, x: Sequence[RationalLike]) -> Fraction:
@@ -568,7 +570,7 @@ def bundle_from_network(net: Network) -> ApproximatorBundle:
     grid = GridSpec(d, (w.rows - 1) // d)
     if v.rows != grid.cell_count or u.rows != 1:
         raise DomainError("selector/readout shapes do not match the inferred grid")
-    _require_rows("threshold", w, build_threshold_matrix(grid).row)
+    _require_rows("threshold", w, lambda r: _threshold_row(grid, r))
     tail = _selector_tail(grid)
     if v.row(0)[1:] == tail:  # rows that share row 0's objects then compare
         tail = v.row(0)[1:]   # by identity, without a Fraction.__eq__ per entry

@@ -19,7 +19,6 @@ from .approx import (
     ApproximatorBundle,
     HolderFunctionSpec,
     build_approximator,
-    bundle_from_network,
     bundle_stats,
     check_cap,
     evaluate_implicit,
@@ -171,7 +170,7 @@ class ErrorReport:
 
 
 def sup_error(
-    obj: Union[ApproximatorBundle, Network],
+    obj: ApproximatorBundle,
     f: Union[HolderFunctionSpec, Callable],
     n_per_axis: int = 101,
     bound: Optional[RationalLike] = None,
@@ -191,11 +190,13 @@ def sup_error(
     dimension (another one raises DimensionError) and the evaluator are
     read. When a bound is given, ``passed`` records whether the measured
     sup stayed within it. A scan of more points than QLOWER_CAP raises
-    CapacityError before it starts.
+    CapacityError before it starts. ``obj`` must be an ApproximatorBundle, else
+    DomainError: a net is scanned as ``sup_error(bundle_from_network(net), f)``.
     """
     require_count("n_per_axis", n_per_axis, least=2)
-    bundle = obj if isinstance(obj, ApproximatorBundle) else bundle_from_network(obj)
-    grid, readout = bundle.grid, bundle.readout
+    if not isinstance(obj, ApproximatorBundle):
+        raise DomainError(f"sup_error needs an ApproximatorBundle, got {type(obj).__name__}")
+    grid, readout = obj.grid, obj.readout
     if isinstance(f, HolderFunctionSpec) and f.d != grid.d:
         raise DimensionError(f"target is on [0,1]^{f.d}, the approximator on [0,1]^{grid.d}")
     evaluator = f.evaluator if isinstance(f, HolderFunctionSpec) else f
@@ -321,39 +322,32 @@ def equivalence_check(
 # ---------------------------------------------------------------------------
 # Random networks
 
+_RANDOM_WEIGHTS = sorted(v for v in WeightSet.BASE_A.members() if v)  # in draw order
+_RANDOM_DENSITY = 0.7
 
-def random_network(
-    rng: random.Random,
-    input_dim: int,
-    depth: int,
-    max_width: int,
-    alphabet: WeightSet = WeightSet.BASE_A,
-    density: float = 0.7,
-) -> Network:
-    """Seeded random ReLU network with weights drawn from the alphabet.
 
-    Each entry is zero with probability 1 - density and otherwise
-    uniform over the nonzero alphabet values. Depth 0 yields a single
+def random_network(rng: random.Random, input_dim: int, depth: int, max_width: int) -> Network:
+    """Seeded random ReLU network with weights in BASE_A.
+
+    Each entry is nonzero with probability _RANDOM_DENSITY, and then
+    uniform over BASE_A's nonzero values. Depth 0 yields a single
     affine matrix. Before anything is drawn, a size that is not an int
     >= 1 (>= 0 for depth) raises DomainError, and a net that could hold
     more entries than QLOWER_CAP, (depth+1)*max(input_dim+1, max_width)^2,
     raises CapacityError.
     """
-    if alphabet.members() is None:
-        raise DomainError("random_network needs a finite alphabet")
     require_count("input_dim", input_dim)
     require_count("depth", depth, least=0)
     require_count("max_width", max_width)
     check_cap("random network", "entries", "draw a smaller network",
               (depth + 1) * max(input_dim + 1, max_width) ** 2)
-    nonzero = sorted(v for v in alphabet.members() if v != 0)
     widths = [rng.randint(1, max_width) for _ in range(depth)]
     dims = [input_dim + 1] + widths + [1]
     matrices = []
     for layer in range(depth + 1):
         rows, cols = dims[layer + 1], dims[layer]
         entries = tuple(
-            rng.choice(nonzero) if rng.random() < density else Fraction(0)
+            rng.choice(_RANDOM_WEIGHTS) if rng.random() < _RANDOM_DENSITY else Fraction(0)
             for _ in range(rows * cols)
         )
         matrices.append(WeightMatrix(rows, cols, entries))

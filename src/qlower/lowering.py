@@ -323,10 +323,7 @@ def binarize(net: Network) -> tuple[Network, LoweringCertificate]:
     return lowered, cert
 
 
-_UNIT_CONVERSIONS = {
-    WeightSet.TERNARY_HALF: (2, WeightSet.TERNARY_UNIT),
-    WeightSet.BINARY_QUARTER: (4, WeightSet.BINARY_UNIT),
-}
+_UNIT_FACTORS = {WeightSet.TERNARY_HALF: 2, WeightSet.BINARY_QUARTER: 4}
 
 
 def to_unit_weights(net: Network) -> Network:
@@ -341,7 +338,7 @@ def to_unit_weights(net: Network) -> Network:
         raise DomainError(
             f"unit-weight conversion requires relu, got {net.activation.value}"
         )
-    for alphabet, (factor, _out) in _UNIT_CONVERSIONS.items():
+    for alphabet, factor in _UNIT_FACTORS.items():
         if validate(net, alphabet).passed:
             k = len(net.matrices)
             return Network(

@@ -78,20 +78,18 @@ class ActivationKind(str, Enum):
 class WeightSet(str, Enum):
     """Admissible weight alphabets; membership tests are exact."""
 
-    UNRESTRICTED = "unrestricted"
     BASE_A = "baseA"                  # {0, +-1/2, +-1, 2}
     TERNARY_HALF = "ternary_half"     # {0, +-1/2}
     TERNARY_UNIT = "ternary_unit"     # {0, +-1}
     BINARY_QUARTER = "binary_quarter" # {+-1/4}
     BINARY_UNIT = "binary_unit"       # {+-1}
 
-    def members(self) -> frozenset[Fraction] | None:
-        """The finite alphabet, or None for the unrestricted set."""
+    def members(self) -> frozenset[Fraction]:
+        """The alphabet's values, a finite set of Fractions."""
         return _WEIGHT_SET_MEMBERS[self]
 
 
-_WEIGHT_SET_MEMBERS: dict[WeightSet, frozenset[Fraction] | None] = {
-    WeightSet.UNRESTRICTED: None,
+_WEIGHT_SET_MEMBERS: dict[WeightSet, frozenset[Fraction]] = {
     WeightSet.BASE_A: frozenset({ZERO, HALF, -HALF, Fraction(1), Fraction(-1), Fraction(2)}),
     WeightSet.TERNARY_HALF: frozenset({ZERO, HALF, -HALF}),
     WeightSet.TERNARY_UNIT: frozenset({ZERO, Fraction(1), Fraction(-1)}),
@@ -292,7 +290,6 @@ def plan_layer(mat: WeightMatrix, merged: tuple[int, ...] | None) -> LayerPlan:
 @dataclass(frozen=True)
 class SparsityReport:
     total_nonzero: int
-    per_matrix: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -300,9 +297,6 @@ class ValidationReport:
     passed: bool
     weight_set: WeightSet
     offender: tuple[int, int, int, str] | None  # (matrix, row, col, value)
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def forward_integers(net: Network, points: Sequence[Sequence[int]], den: int,
@@ -475,13 +469,12 @@ def forward_trace(net: Network, x: Sequence[RationalLike]):
 
 
 def validate(net: Network, weight_set: WeightSet) -> ValidationReport:
-    """Check that every matrix entry lies in the alphabet (exact equality).
+    """Check that every matrix entry lies in the alphabet (exact equality);
+    ``offender`` names the first entry, in row-major order, that does not.
 
     The output scale is exempt: it is bookkeeping, not a weight.
     """
     members = weight_set.members()
-    if members is None:
-        return ValidationReport(True, weight_set, None)
     for i, mat in enumerate(net.matrices):
         if all(e in members for e in mat._objects.values()):
             continue
@@ -492,9 +485,9 @@ def validate(net: Network, weight_set: WeightSet) -> ValidationReport:
 
 
 def sparsity(net: Network) -> SparsityReport:
-    """Count exactly-nonzero weights, per matrix and in total."""
-    per = tuple(m.nonzero_count() for m in net.matrices)
-    return SparsityReport(sum(per), per)
+    """Count the net's exactly-nonzero weights; ``m.nonzero_count()`` counts
+    one matrix's."""
+    return SparsityReport(sum(m.nonzero_count() for m in net.matrices))
 
 
 # --- serialization -----------------------------------------------------------

@@ -1,6 +1,7 @@
 import signal
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -24,6 +25,18 @@ TEST_TIME_LIMIT = 60  # seconds of wall time per test; the slowest takes a few
 # ones; a test's own @settings keep its max_examples and deadline.
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+# Hypothesis reports a failing test through a pytest hook that imports
+# libcst, where it is installed. libcst's use of mypy_extensions.TypedDict
+# warns on import, and under `-W error` that warning, raised inside the
+# hook, aborts the whole run with INTERNALERROR. Import it once here,
+# ignoring exactly that warning, so a failing test is reported as FAILED.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message=r"mypy_extensions\.TypedDict is deprecated")
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 
 class TimeLimitExceeded(BaseException):

@@ -191,7 +191,9 @@ class TestGridSpec:
     def test_coords_round_trip(self):
         grid = GridSpec(3, 2)
         for k in range(grid.cell_count):
-            assert sum(m * place for m, place in zip(grid.cell_coords(k), grid.place_values)) == k
+            digits = [v * 3 for v in grid.representative(k)]
+            assert all(m.denominator == 1 and 0 <= m <= 2 for m in digits)
+            assert sum(m * place for m, place in zip(digits, grid.place_values)) == k
 
     def test_representative_is_smallest_corner(self):
         grid = GridSpec(2, 2)
@@ -584,10 +586,47 @@ class TestCapacityCap:
 
     def test_readout_over_cap_fails_before_building(self, monkeypatch):
         monkeypatch.setenv("QLOWER_CAP", "4")
-        monkeypatch.setattr(qlower.approx, "build_readout", None)  # never reached
+        monkeypatch.setattr(qlower.approx, "read_target", None)  # never reached
         with pytest.raises(CapacityError) as err:
             build_approximator(linear_spec(), F(1, 4))
         assert (err.value.required, err.value.cap) == (5, 4)
+
+    def test_readout_over_cap_refused_before_any_cell(self):
+        # (10^6 + 1)^2 cells: the target would be read at each of them
+        calls = []
+
+        def target(x):
+            calls.append(x)
+            return 0
+
+        with time_limit(1), pytest.raises(CapacityError) as err:
+            build_readout(target, GridSpec(2, 10**6))
+        assert err.value.required == (10**6 + 1) ** 2 and not calls
+
+    def test_threshold_matrix_over_cap_refused_before_any_row(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("threshold rows built")
+
+        monkeypatch.setattr(WeightMatrix, "from_rows", refuse)
+        with time_limit(1), pytest.raises(CapacityError) as err:
+            build_threshold_matrix(GridSpec(1, 10**8))
+        assert err.value.required == (10**8 + 1) * 2
+        assert str(err.value).startswith("threshold matrix needs 200000002 entries")
+
+    @pytest.mark.parametrize("d, M, required", [
+        (3 * 10**6, 10, "at least 2^9000024"),  # 11^d is never computed
+        (10000, 2, f"at least 2^{(3**10000 * 20001).bit_length() - 1}"),  # computed, unprintable
+        (5000, 2, 3**5000 * 10001),  # printed exactly
+    ])
+    def test_selector_over_cap_refused_at_once(self, monkeypatch, d, M, required):
+        def refuse(grid):
+            raise AssertionError("cell count computed")
+
+        monkeypatch.setattr(GridSpec, "cell_count", property(refuse))
+        with time_limit(1), pytest.raises(CapacityError) as err:
+            build_selector_matrix(GridSpec(d, M))
+        assert err.value.required == required
+        assert str(err.value).startswith(f"selector matrix needs {required} entries")
 
     def test_unprintable_size_is_reported_by_bit_length(self):
         # 3^20000 + 1 cells: more decimal digits than str() of an int allows

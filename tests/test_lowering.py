@@ -12,6 +12,7 @@ from qlower import (
     DomainError,
     Network,
     TheoremBoundParams,
+    WeightMatrix,
     WeightSet,
     binarize,
     binary_prefix,
@@ -36,6 +37,16 @@ BASE_A = sorted(WeightSet.BASE_A.members())
 TERNARY = sorted(WeightSet.TERNARY_HALF.members())
 
 GRID_1D = [Fraction(i, 4) for i in range(5)]
+
+
+def random_ternary_network(rng, input_dim, depth, max_width):
+    """A seeded random ReLU net with weights in {0, +-1/2}: each entry is
+    +-1/2 with probability 0.7, drawn in random_network's order."""
+    dims = [input_dim + 1, *(rng.randint(1, max_width) for _ in range(depth)), 1]
+    return Network(input_dim, tuple(
+        WeightMatrix(rows, cols, tuple(rng.choice((-HALF, HALF)) if rng.random() < 0.7
+                                       else Fraction(0) for _ in range(rows * cols)))
+        for cols, rows in zip(dims, dims[1:])), ActivationKind.RELU)
 
 
 def dyadic_points(rng, d, n, denominator=256):
@@ -241,7 +252,7 @@ class TestBinarize:
     def test_random_ternary_nets_equivalent(self):
         rng = random.Random(404)
         for _ in range(10):
-            net = random_network(rng, 2, 2, 5, alphabet=WeightSet.TERNARY_HALF)
+            net = random_ternary_network(rng, 2, 2, 5)
             lowered, cert = binarize(net)
             assert cert.passed
             for x in dyadic_points(rng, 2, 5):
@@ -263,9 +274,8 @@ class TestCachedPrefixes:
 
     @pytest.mark.parametrize("lower", [ternarize, binarize])
     def test_lowerings_at_one_d_share_their_prefix_matrices(self, lower):
-        alphabet = WeightSet.BASE_A if lower is ternarize else WeightSet.TERNARY_HALF
-        first, second = (lower(random_network(random.Random(seed), 2, 2, 4, alphabet))[0]
-                         for seed in (1, 2))
+        draw = random_network if lower is ternarize else random_ternary_network
+        first, second = (lower(draw(random.Random(seed), 2, 2, 4))[0] for seed in (1, 2))
         depth = 2 if lower is ternarize else 3
         assert all(a is b for a, b in zip(first.matrices[:depth], second.matrices[:depth]))
 
